@@ -19,10 +19,10 @@ files CI uploads):
   derive-once/serve-forever split persistent snapshots exist for);
 - ``BENCH_sharded_scaling.json`` — serial single-snapshot batch retrieval
   versus hash-sharded parallel retrieval on the largest collection;
-- ``BENCH_snapshot_v2.json`` — the version-2 deduplicated snapshot layout
-  (documents stored once) versus the legacy inline-everything layout, and
-  Bloom-routed sharded batch retrieval versus broadcasting every query to
-  every shard;
+- ``BENCH_snapshot_v2.json`` — the deduplicated generation layout
+  (documents stored once in a shared store) versus the same snapshots
+  saved standalone, and Bloom-routed sharded batch retrieval versus
+  broadcasting every query to every shard;
 - ``BENCH_wand.json`` — term-at-a-time max-score versus document-at-a-time
   WAND and block-max WAND across query lengths (the ``--strategy`` flag /
   ``Searcher(strategy=...)`` choice; see ``repro.ir.wand``);
@@ -372,8 +372,7 @@ def test_cold_start_from_disk(benchmark, write_artifact, bench_full,
     the cold-start path only reads snapshot files.  Both ends answer the
     probe queries rank-identically (asserted).
     """
-    from repro.ir.persist import (load_snapshot, open_scoring_snapshot,
-                                  save_snapshot, save_snapshot_v2)
+    from repro.ir.persist import open_scoring_snapshot, save_snapshot
 
     scale = max(perf_scales)
     max_instances = 300 if bench_full else 100
@@ -410,27 +409,21 @@ def test_cold_start_from_disk(benchmark, write_artifact, bench_full,
         loaded_answers = [loaded.best(query) for query in probes]
         cold_s = time.perf_counter() - start
 
-        # Format-for-format worker cold start on the flat snapshot: parse
-        # the whole JSON-lines v2 file vs mmap the v3 container (header +
-        # term directory only — columns fault in on demand).
+        # Worker cold start on the flat snapshot: mmap the v3 container
+        # (header + term directory only — columns fault in on demand).
         snapshot = engine.collection.global_snapshot()
-        v2_path = format_dir / "global-v2.snap"
         v3_path = format_dir / "global-v3.snap"
-        save_snapshot_v2(snapshot, v2_path)
         save_snapshot(snapshot, v3_path)
-        start = time.perf_counter()
-        load_snapshot(v2_path)
-        load_v2_s = time.perf_counter() - start
         rss_before = _rss_kib()
         start = time.perf_counter()
         view = open_scoring_snapshot(v3_path)
         load_v3_s = time.perf_counter() - start
         worker_rss_delta_kib = max(_rss_kib() - rss_before, 0)
         assert len(view) == 0 or view.vocabulary_size >= 0  # touched lazily
-        return (derive_s, save_s, cold_s, load_v2_s, load_v3_s,
-                worker_rss_delta_kib, derived_answers, loaded_answers)
+        return (derive_s, save_s, cold_s, load_v3_s, worker_rss_delta_kib,
+                derived_answers, loaded_answers)
 
-    (derive_s, save_s, cold_s, load_v2_s, load_v3_s, worker_rss_delta_kib,
+    (derive_s, save_s, cold_s, load_v3_s, worker_rss_delta_kib,
      derived_answers, loaded_answers) = \
         benchmark.pedantic(measure, rounds=1, iterations=1)
 
@@ -448,9 +441,7 @@ def test_cold_start_from_disk(benchmark, write_artifact, bench_full,
         "cold_start_s": round(cold_s, 6),
         "cold_start_speedup": round(derive_s / cold_s, 3),
         "snapshot_bytes": snapshot_bytes,
-        "load_v2_s": round(load_v2_s, 6),
         "load_v3_s": round(load_v3_s, 6),
-        "mmap_speedup": round(load_v2_s / load_v3_s, 3) if load_v3_s else None,
         "worker_rss_delta_kib": worker_rss_delta_kib,
     }
     write_artifact("BENCH_cold_start.json", json.dumps(report, indent=2))
@@ -459,9 +450,6 @@ def test_cold_start_from_disk(benchmark, write_artifact, bench_full,
         # persist.  Full scale only: at smoke sizes the derive cost is
         # milliseconds and the comparison is timing noise on a busy CI box.
         assert cold_s < derive_s
-        # The v3 acceptance bar: mmap'ing the columnar container must be
-        # at least 5x faster than parsing the JSON-lines v2 snapshot.
-        assert load_v2_s / load_v3_s >= 5.0
 
 
 # -- sharded parallel retrieval vs the serial path -------------------------
@@ -711,22 +699,19 @@ def _longtail_workload(snapshot, count: int,
 def test_snapshot_v2_dedup_and_bloom_routing(benchmark, write_artifact,
                                              bench_full, perf_scales,
                                              tmp_path_factory):
-    """The two claims behind snapshot storage v2, measured together.
+    """The two claims behind deduplicated snapshot storage, measured
+    together.
 
     Dedup: a saved generation stores every decorated instance document
     once (shared document store + doc_id refs) instead of once per
-    snapshot file.  The historical acceptance bar — <= 60% of the legacy
-    inline-everything v1 layout — is checked against the JSON-lines v2
-    layout it was defined for; the current v3 columnar generation is
-    measured against the same snapshots saved standalone (inline
-    documents, same format), where dedup must still win outright.
+    snapshot file; it is measured against the same snapshots saved
+    standalone (inline documents, same format), where dedup must win
+    outright.
     Routing: per-shard term Bloom filters let ``ShardedTopK`` skip
     shards that provably cannot match a query, with results
     rank-identical to broadcasting (asserted over the workload).
     """
-    from repro.ir.persist import (DocumentStore, save_document_store,
-                                  save_snapshot, save_snapshot_v1,
-                                  save_snapshot_v2)
+    from repro.ir.persist import save_snapshot
     from repro.ir.shard import ShardedTopK
     from repro.ir.scoring import Bm25Scorer
 
@@ -765,23 +750,6 @@ def test_snapshot_v2_dedup_and_bloom_routing(benchmark, write_artifact,
     standalone_bytes = sum(entry.stat().st_size
                            for entry in standalone_dir.iterdir())
     v3_dedup_ratio = v3_bytes / standalone_bytes
-
-    # -- historical bar: JSON-lines v2 layout vs the legacy v1 layout -------
-    v2_dir = tmp_path_factory.mktemp("snapshot-v2")
-    store = DocumentStore.from_snapshot(snapshot)
-    save_document_store(store, v2_dir / "docs.store")
-    save_snapshot_v2(snapshot, v2_dir / "global.snap", docstore="docs.store")
-    for name, definition_snapshot in definition_snapshots.items():
-        save_snapshot_v2(definition_snapshot, v2_dir / f"def-{name}.snap",
-                         docstore="docs.store")
-    v2_bytes = sum(entry.stat().st_size for entry in v2_dir.iterdir())
-
-    v1_dir = tmp_path_factory.mktemp("snapshot-v1")
-    save_snapshot_v1(snapshot, v1_dir / "global.snap")
-    for name, definition_snapshot in definition_snapshots.items():
-        save_snapshot_v1(definition_snapshot, v1_dir / f"def-{name}.snap")
-    v1_bytes = sum(entry.stat().st_size for entry in v1_dir.iterdir())
-    dedup_ratio = v2_bytes / v1_bytes
 
     # -- Bloom routing vs broadcast on long-tail batches --------------------
     term_lists = _longtail_workload(snapshot,
@@ -839,9 +807,6 @@ def test_snapshot_v2_dedup_and_bloom_routing(benchmark, write_artifact,
         "scale": scale,
         "documents": snapshot.document_count,
         "definitions": len(collection.definitions),
-        "v1_layout_bytes": v1_bytes,
-        "v2_layout_bytes": v2_bytes,
-        "dedup_ratio": round(dedup_ratio, 4),
         "v3_layout_bytes": v3_bytes,
         "v3_standalone_bytes": standalone_bytes,
         "v3_dedup_ratio": round(v3_dedup_ratio, 4),
@@ -861,9 +826,8 @@ def test_snapshot_v2_dedup_and_bloom_routing(benchmark, write_artifact,
         },
     }
     write_artifact("BENCH_snapshot_v2.json", json.dumps(report, indent=2))
-    # Documents stored once: the acceptance bar for the v2 layout, and
-    # a strict win for the v3 generation over inlining per file.
-    assert dedup_ratio <= 0.60
+    # Documents stored once: a strict win for the generation over
+    # inlining them per file.
     assert v3_dedup_ratio < 1.0
     # Routing must prove whole shards irrelevant for some dispatches.
     assert stats["shard_tasks_skipped"] >= 1

@@ -52,14 +52,13 @@ TRACKED_METRICS: dict[str, dict[str, str]] = {
         "cold_start_s": "lower",
         "cold_start_speedup": "higher",
         "load_v3_s": "lower",
-        "mmap_speedup": "higher",
     },
     "BENCH_sharded_scaling.json": {
         "sharded_cold_s": "lower",
         "sharded_warm_s": "lower",
     },
     "BENCH_snapshot_v2.json": {
-        "dedup_ratio": "lower",
+        "v3_dedup_ratio": "lower",
         "routing.routed_s": "lower",
     },
     "BENCH_wand.json": {

@@ -30,14 +30,15 @@ when an answer's content is actually rendered).  ``shards``/
 ``parallelism`` turn on sharded parallel scoring for the flat
 (collection-wide) searcher — see :mod:`repro.ir.shard`.
 
-A saved generation uses the version-2 deduplicated layout (see
+A saved generation uses the deduplicated layout (see
 :mod:`repro.ir.persist` and ``docs/PERSISTENCE.md``): one shared document
 store holds every decorated instance document once, and the global,
 per-definition, and (when sharding is configured) per-shard snapshot
 files reference it by doc_id.  Loading shares the store's
 :class:`~repro.ir.documents.Document` objects across every snapshot, so a
-loaded generation pins exactly one copy of the documents; version-1
-directories written by earlier builds still load read-only.
+loaded generation pins exactly one copy of the documents.  Directories
+whose snapshot files an earlier build wrote in format v1/v2 load once
+``repro migrate`` has rewritten them as v3.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class QunitCollection:
         # whole generation pinned — immune to a concurrent re-save's
         # prune); a lazy load instead registers a loader per key in
         # _lazy_loaders and fills this on first demand.  Under the
-        # version-2 layout every snapshot shares the generation's
+        # deduplicated layout every snapshot shares the generation's
         # document-store objects, so "the whole generation" is one copy
         # of the documents.
         self._loaded_snapshots: dict[str | None, IndexSnapshot] = {}

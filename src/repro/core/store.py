@@ -15,9 +15,8 @@ Three things make a stored collection *live*:
 detects that the directory already holds a compatible generation and
 appends only the new documents as checksummed delta records — one
 ``journal-<generation>.jrnl`` file per generation, shared by the global
-and per-definition snapshots (the collection-level counterpart of
-:class:`~repro.ir.persist.SnapshotJournal`, built on the same delta
-record format).  A delta save is O(new documents), not a corpus
+and per-definition snapshots (the delta record format is
+:func:`~repro.ir.persist.build_delta_record`).  A delta save is O(new documents), not a corpus
 rewrite; the transaction commits via an atomic manifest swap, so a
 crash mid-append is invisible (readers ignore journal bytes the
 manifest never committed).  ``repro compact`` /
@@ -907,10 +906,10 @@ class CollectionStore:
                 snapshot = _fold_records(snapshot, records, journal_path)
             # Definition snapshots persist a term Bloom filter in their
             # header; it describes the *base* vocabulary only, so any
-            # advance past the header's index_version (a snapshot-level
-            # delta tail, or journal records folded above) discards it —
-            # pruning on a filter that never saw the new terms would
-            # drop real answers.  definition_bloom rebuilds on demand.
+            # advance past the header's index_version (journal records
+            # folded above) discards it — pruning on a filter that never
+            # saw the new terms would drop real answers.  definition_bloom
+            # rebuilds on demand.
             bloom = None
             bloom_data = header.get("bloom")
             if key is not None and bloom_data and \
@@ -1024,8 +1023,8 @@ class CollectionStore:
             (collection-wide statistics included, so scoring is
             float-identical to the unsharded path) and its term Bloom
             filter (``None`` when the persisted filter is stale — the
-            file predates Bloom persistence, carries delta segments, or
-            the journal advanced the partition past it).
+            file predates Bloom persistence or the journal advanced the
+            partition past it).
 
         Raises:
             SnapshotError: if the directory has no persisted shards, the
@@ -1069,9 +1068,9 @@ class CollectionStore:
             journal_path = path / manifest["journal"]["file"]
             snapshot = _fold_records(snapshot, records, journal_path)
         # A persisted Bloom filter describes the base snapshot only;
-        # snapshot-level deltas or journal records may have added
-        # vocabulary it has never seen, so an advanced shard hands back
-        # no filter (routing on a stale one could skip real postings).
+        # journal records may have added vocabulary it has never seen, so
+        # an advanced shard hands back no filter (routing on a stale one
+        # could skip real postings).
         bloom_data = header.get("bloom")
         fresh = header.get("index_version") == snapshot.version
         bloom = TermBloomFilter.from_dict(bloom_data) \

@@ -68,38 +68,6 @@ class InvertedIndex:
         self._total_length = 0.0
         self._version = 0
         self._snapshot: IndexSnapshot | None = None
-        self._listeners: list = []
-
-    @classmethod
-    def from_snapshot(cls, snapshot: "IndexSnapshot") -> "InvertedIndex":
-        """Rebuild a live, append-able index from a frozen snapshot.
-
-        Used by :class:`~repro.ir.persist.SnapshotJournal` to resume
-        appending to a persisted index.  Intended for *whole-collection*
-        snapshots: shard snapshots carry collection-wide document
-        frequencies that a rebuilt index cannot represent (it recomputes
-        frequencies from its own postings).
-
-        Args:
-            snapshot: the frozen snapshot to rebuild from.
-
-        Returns:
-            A live index whose contents (documents, postings, lengths,
-            version) equal the snapshot's.  The total-length accumulator is
-            recomputed by summation, so derived statistics of *future*
-            snapshots may differ from a never-frozen original in the last
-            float ulp; the rebuilt contents themselves are exact.
-        """
-        index = cls(snapshot.analyzer)
-        index._documents = dict(snapshot._documents)
-        index._doc_lengths = dict(snapshot._doc_lengths)
-        index._postings = {
-            term: {posting.doc_id: posting.weighted_tf for posting in plist}
-            for term, plist in snapshot._postings.items()
-        }
-        index._total_length = sum(index._doc_lengths.values())
-        index._version = snapshot.version
-        return index
 
     # -- building -----------------------------------------------------------
 
@@ -107,8 +75,8 @@ class InvertedIndex:
         """Index one document (its id must be new), all-or-nothing.
 
         Tokenization and validation run before any index state is
-        touched, so a rejected document leaves the index (and any
-        subscribed listeners' view of it) exactly as it was.
+        touched, so a rejected document leaves the index exactly as it
+        was.
 
         Raises:
             IndexError_: on a duplicate ``doc_id`` or a non-positive field
@@ -135,15 +103,6 @@ class InvertedIndex:
             self._postings.setdefault(token, {})[document.doc_id] = weighted_tf
         self._doc_lengths[document.doc_id] = length
         self._total_length += length
-        for listener in self._listeners:
-            listener(document)
-
-    def subscribe(self, listener) -> None:
-        """Register ``listener`` to be called with each successfully added
-        :class:`~repro.ir.documents.Document` (after the index is updated).
-        :class:`~repro.ir.persist.SnapshotJournal` hooks here to append a
-        delta segment per ``add`` instead of rewriting its snapshot file."""
-        self._listeners.append(listener)
 
     def add_all(self, documents: Iterable[Document]) -> int:
         count = 0

@@ -1,4 +1,4 @@
-"""Persistent snapshot storage: document store + postings overlays + deltas.
+"""Persistent snapshot storage: document store + columnar snapshots.
 
 Collections in this system are expensive to derive (schema analysis, query
 logs, instance materialization) but cheap to query; persistence splits the
@@ -7,22 +7,22 @@ disk once, :func:`load_snapshot` brings it back in a form that serves
 queries with no live :class:`~repro.ir.index.InvertedIndex` behind it.
 
 ``docs/PERSISTENCE.md`` specifies the on-disk formats precisely (byte
-layouts, record grammars, checksum rules, version negotiation, compaction
-semantics); this docstring is the orientation summary.
+layouts, record grammars, checksum rules, version negotiation); this
+docstring is the orientation summary.
 
-Format version 3 (current)
---------------------------
+Snapshot files (format version 3)
+---------------------------------
 
-Version 3 is a **binary columnar container** built for mmap zero-copy
-loads: a fixed-size struct header, a JSON meta blob (the same keys the v2
-header carried — analyzer, collection statistics, docstore/shard/bloom),
-a JSON *term directory* mapping each term to the byte extents of its
-columns, and a columns region holding fixed-width little-endian arrays —
-u32 interned doc positions and float64 weighted frequencies per term,
-float64 document lengths, plus optional per-(scorer, term) contribution
-and block-max bound columns precomputed at save time.  Every column (and
-the meta/directory blobs) carries a sha256 checksum, verified lazily on
-first access.
+A snapshot file is a **binary columnar container** built for mmap
+zero-copy loads: a fixed-size struct header, a JSON meta blob (analyzer,
+collection statistics, docstore/shard/bloom), a JSON *term directory*
+mapping each term to the byte extents of its columns, and a columns
+region holding fixed-width little-endian arrays — u32 interned doc
+positions and float64 weighted frequencies per term, float64 document
+lengths, plus optional per-(scorer, term) contribution and block-max
+bound columns precomputed at save time.  Every column (and the
+meta/directory blobs) carries a sha256 checksum, verified lazily on first
+access.  The file ends exactly where the header says its columns end.
 
 Loading (:func:`load_snapshot`) maps the file with :mod:`mmap` and parses
 only the header, meta, and directory — O(header + directory), not
@@ -30,64 +30,41 @@ O(postings) — returning a :class:`~repro.ir.index.ColumnarIndexSnapshot`
 whose postings materialize per term on demand straight out of the mapped
 columns.  N shard workers mapping the same file share one OS page cache
 instead of N parsed heaps; :func:`open_scoring_snapshot` is the worker
-entry point (documents skipped entirely).  Float-exactness is preserved
-across formats: float64 columns round-trip bit-exactly, so a v3 load is
-rank-and-score identical to the v2 load and the live index it came from.
+entry point (documents skipped entirely).  float64 columns round-trip
+bit-exactly, so a load is rank-and-score identical to the live index it
+came from.
 
-Format version 2
-----------------
+Snapshots saved with ``docstore=<name>`` store no document bodies: a
+*document store* file (:func:`save_document_store`, JSON-lines with a
+``doc_id -> [byte offset, length]`` header index) holds every decorated
+instance document once, all snapshots of a generation share its
+:class:`~repro.ir.documents.Document` objects, and a shard server reads
+only its partition's documents (:func:`load_document_store_partition`).
 
-Version 2 splits a saved generation into a **document store** plus
-**postings overlays** (JSON-lines; still written by
-:func:`save_snapshot_v2`, still loaded transparently):
+Files written by older builds — version-1/2 JSON-lines snapshots, and
+any snapshot followed by per-file delta segments — raise a
+:class:`~repro.errors.SnapshotError` naming ``repro migrate``, which
+rewrites them as clean version-3 bases (:mod:`repro.ir.migrate`).
 
-- A *document store* file (:func:`save_document_store`) holds every
-  decorated instance document — and its weighted length — exactly once.
-  Its header carries a ``doc_id -> [byte offset, length]`` index so a
-  shard server can read *only its partition's* documents
-  (:func:`load_document_store_partition`) instead of parsing the store.
-- Snapshot files written with ``docstore=<name>`` record only ``ref``
-  lines (doc_ids) instead of full ``doc`` records; on load the referenced
-  :class:`DocumentStore` supplies the shared :class:`~repro.ir.documents.
-  Document` objects, so N snapshots over the same corpus pin one copy of
-  the documents instead of N.
-- Snapshot files written without a ``docstore`` inline their documents
-  (the standalone layout, used by :class:`SnapshotJournal`).
+The collection journal
+----------------------
 
-All files are UTF-8 JSON-lines with a header line, body records, and a
-footer carrying a sha256 digest of every preceding line; truncation,
-corruption, and unknown format versions raise
-:class:`~repro.errors.SnapshotError` (files are never silently
-reinterpreted).  Version-1 files (single snapshot, inline documents) are
-still read; :func:`save_snapshot_v1` keeps the legacy writer available for
-compatibility tests and size comparisons.
-
-Delta segments
---------------
-
-A version-2 or version-3 snapshot file may carry **delta segments** after
-its base (after the footer line for v2, after the columns region for v3):
-each segment is one ``delta`` record (new inline documents, postings
-additions, refreshed collection statistics) followed by a ``delta-end``
-record with a sha256 of the segment line.  Appending a delta is O(new
-documents), not O(file) — :class:`SnapshotJournal` hooks
-:meth:`~repro.ir.index.InvertedIndex.add` so every add appends a
-checksummed segment instead of rewriting the snapshot, and compaction
-(:func:`compact_snapshot`, or the journal's threshold) folds segments back
-into a clean base.  A v3 file with deltas loads eagerly (deltas mutate
-postings, which forfeits the lazy column view until the next compaction).
+Incremental saves append checksummed **delta records**
+(:func:`build_delta_record`) to one ``journal-<generation>.jrnl`` file per
+saved collection generation (:func:`append_collection_txn`,
+:func:`read_collection_journal`); loaders fold them over the bases with
+:func:`fold_delta_record`.  Delta postings are recomputed with the same
+per-token accumulation order as :meth:`~repro.ir.index.InvertedIndex.add`,
+so journaled generations load float-identical.  ``repro.core.store`` owns
+the manifest side of the protocol.
 
 Fidelity
 --------
 
-Floats are serialized with :mod:`json`, whose ``repr``-based encoding is
-shortest-round-trip exact, so a loaded snapshot scores *float-identical*
-to the one saved.  Tuples inside document metadata are encoded as JSON
-arrays and restored as tuples on load, preserving
+JSON floats are serialized with :mod:`json`, whose ``repr``-based
+encoding is shortest-round-trip exact.  Tuples inside document metadata
+are encoded as JSON arrays and restored as tuples on load, preserving
 :class:`~repro.ir.documents.Document` equality across the round trip.
-Delta postings additions are recomputed with the same per-token
-accumulation order as :meth:`~repro.ir.index.InvertedIndex.add`, so
-journaled snapshots also load float-identical.
 """
 
 from __future__ import annotations
@@ -116,23 +93,18 @@ from repro.ir.index import (
 __all__ = [
     "FORMAT_MAGIC",
     "FORMAT_VERSION",
-    "SUPPORTED_VERSIONS",
     "V3_MAGIC",
     "STORE_MAGIC",
     "STORE_VERSION",
-    "DEFAULT_COMPACT_THRESHOLD",
     "JOURNAL_MAGIC",
     "JOURNAL_VERSION",
     "DocumentStore",
-    "SnapshotJournal",
     "build_delta_record",
     "fold_delta_record",
     "filter_delta_record",
     "append_collection_txn",
     "read_collection_journal",
     "save_snapshot",
-    "save_snapshot_v1",
-    "save_snapshot_v2",
     "load_snapshot",
     "load_snapshot_with_header",
     "open_scoring_snapshot",
@@ -141,13 +113,10 @@ __all__ = [
     "load_document_store_partition",
     "read_snapshot_doc_ids",
     "read_snapshot_header",
-    "compact_snapshot",
-    "delta_segment_count",
 ]
 
 FORMAT_MAGIC = "qunits-snapshot"
 FORMAT_VERSION = 3
-SUPPORTED_VERSIONS = (1, 2, 3)
 #: First bytes of a version-3 binary columnar container (12 bytes; the
 #: trailing newline makes an accidental text-mode read fail fast).
 V3_MAGIC = b"qunits-col3\n"
@@ -167,10 +136,6 @@ STORE_VERSION = 1
 #: incremental saves (see ``repro.core.store``).
 JOURNAL_MAGIC = "qunits-journal"
 JOURNAL_VERSION = 1
-#: Minimum number of delta segments before a :class:`SnapshotJournal`
-#: considers folding them back into a clean base snapshot (folding also
-#: waits until the delta reaches 25% of the base — see the class docs).
-DEFAULT_COMPACT_THRESHOLD = 16
 
 
 def _to_jsonable(value: object) -> object:
@@ -508,59 +473,21 @@ def load_document_store_partition(path: str | os.PathLike,
 
 
 def read_snapshot_doc_ids(path: str | os.PathLike) -> list[str]:
-    """The doc_ids of a snapshot file's base records (``ref`` or inline
-    ``doc``), in record order — without loading postings, resolving a
-    document store, or applying deltas.
+    """The doc_ids of a snapshot file, in column order — without loading
+    postings or resolving a document store.
 
     This is how a shard server discovers *which* documents its partition
     needs before fetching exactly those from the store
     (:func:`load_document_store_partition`).
 
     Raises:
-        SnapshotError: on unreadable/truncated files, bad magic, or an
-            unsupported format version.
+        SnapshotError: as :func:`read_snapshot_header`.
     """
-    path = Path(path)
-    if _probe_magic(path) == V3_MAGIC:
-        backing = _V3Backing.open(path)
-        try:
-            return list(backing.doc_ids)
-        finally:
-            backing.close()
+    backing = _V3Backing.open(Path(path))
     try:
-        with open(path, encoding="utf-8") as handle:
-            first = handle.readline()
-            if not first:
-                raise _corrupt(path, "empty file")
-            header = _parse_line(path, first, "header")
-            if header.get("magic") != FORMAT_MAGIC:
-                raise _corrupt(path, "not a qunits snapshot file (bad magic)")
-            if header.get("format_version") not in SUPPORTED_VERSIONS:
-                raise SnapshotError(
-                    f"snapshot file {str(path)!r} has format version "
-                    f"{header.get('format_version')!r}; this build reads "
-                    f"versions {SUPPORTED_VERSIONS}"
-                )
-            count = header.get("stored_documents", 0)
-            doc_ids: list[str] = []
-            for i in range(count):
-                line = handle.readline()
-                if not line:
-                    raise _corrupt(
-                        path, f"expected {count} document records, found "
-                              f"{i} (truncated?)")
-                record = _parse_line(path, line, f"record {i + 1}")
-                if record.get("t") not in ("doc", "ref") or \
-                        "id" not in record:
-                    raise _corrupt(
-                        path, f"record {i + 1} is not a document record")
-                doc_ids.append(record["id"])
-            return doc_ids
-    except OSError as exc:
-        raise SnapshotError(
-            f"cannot read snapshot file {str(path)!r}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _corrupt(path, f"not UTF-8 text ({exc})") from exc
+        return list(backing.doc_ids)
+    finally:
+        backing.close()
 
 
 # -- binary columns (format v3) ----------------------------------------------
@@ -627,12 +554,11 @@ def save_snapshot(snapshot: IndexSnapshot, path: str | os.PathLike, *,
     container; returns the path.
 
     The file is written to a temporary sibling and renamed into place, so
-    readers never observe a half-written snapshot.  Any delta segments a
-    previous file at ``path`` carried are folded away by the rewrite.
+    readers never observe a half-written snapshot.
 
-    Layout: the :data:`V3_MAGIC` struct header, a JSON meta blob carrying
-    the same keys the v2 header line did, a JSON term directory (term →
-    df and column extents), then the columns region — per-term u32
+    Layout: the :data:`V3_MAGIC` struct header, a JSON meta blob
+    (analyzer, statistics, docstore/shard/bloom), a JSON term directory
+    (term → df and column extents), then the columns region — per-term u32
     interned-doc-position and float64 weighted-frequency columns, the
     float64 document-length column, the doc_id list blob, inline
     documents (standalone layout only), and per-(scorer, term)
@@ -800,148 +726,70 @@ def save_snapshot(snapshot: IndexSnapshot, path: str | os.PathLike, *,
     return path
 
 
-def save_snapshot_v2(snapshot: IndexSnapshot, path: str | os.PathLike, *,
-                     docstore: str | None = None, shard: dict | None = None,
-                     bloom: dict | None = None) -> Path:
-    """Write ``snapshot`` to ``path`` in the version-2 JSON-lines format;
-    returns the path.
-
-    Kept for compatibility tests and for measuring what the columnar
-    version-3 container buys; new code should use :func:`save_snapshot`.
-    The file is written to a temporary sibling and renamed into place, so
-    readers never observe a half-written snapshot.  Any delta segments a
-    previous file at ``path`` carried are folded away by the rewrite.
-
-    Args:
-        snapshot: the frozen snapshot to persist.
-        docstore: file name (relative to ``path``'s directory) of the
-            document store the snapshot's documents live in.  When given,
-            the file records only ``ref`` lines — the deduplicated layout;
-            the caller is responsible for the store actually covering the
-            snapshot's doc_ids.  When ``None``, documents are inlined
-            (standalone layout).
-        shard: optional ``{"index": i, "count": n}`` partition coordinates
-            recorded in the header (see :mod:`repro.ir.shard`).
-        bloom: optional serialized term Bloom filter
-            (:meth:`~repro.ir.shard.TermBloomFilter.to_dict`) recorded in
-            the header so routers can read it without parsing postings.
-
-    Raises:
-        SnapshotError: if a document carries unserializable metadata.
-    """
-    path = Path(path)
-    doc_ids = sorted(snapshot._documents)
-    terms = sorted(snapshot._postings)
-    header = {
-        "magic": FORMAT_MAGIC,
-        "format_version": 2,
-        "index_version": snapshot.version,
-        "analyzer": snapshot.analyzer.config(),
-        "document_count": snapshot.document_count,
-        "average_document_length": snapshot.average_document_length,
-        "min_document_length": snapshot.min_document_length,
-        "stored_documents": len(doc_ids),
-        "stored_terms": len(terms),
-        "docstore": docstore,
-        "shard": shard,
-        "bloom": bloom,
-    }
-
-    # Version-2 term records intern doc_ids: postings carry the position
-    # of the document in this file's (sorted) doc/ref record order, not
-    # the doc_id string — qunit doc_ids are long, and repeating them per
-    # (term, document) would dominate the file size.
-    position = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-
-    def records():
-        yield header
-        for doc_id in doc_ids:
-            if docstore is None:
-                yield _doc_record(doc_id, snapshot._documents[doc_id],
-                                  snapshot._doc_lengths[doc_id])
-            else:
-                yield {"t": "ref", "id": doc_id}
-        for term in terms:
-            yield {
-                "t": "term",
-                "term": term,
-                "df": snapshot._doc_frequencies.get(
-                    term, len(snapshot._postings[term])),
-                "postings": [[position[posting.doc_id], posting.weighted_tf]
-                             for posting in snapshot._postings[term]],
-            }
-
-    return _write_checksummed(path, records())
-
-
-def save_snapshot_v1(snapshot: IndexSnapshot, path: str | os.PathLike) -> Path:
-    """Write ``snapshot`` in the legacy version-1 layout (inline documents,
-    no docstore/shard/bloom header fields, no delta support).
-
-    Kept for compatibility tests and for measuring what the deduplicated
-    version-2 layout saves; new code should use :func:`save_snapshot`.
-    """
-    path = Path(path)
-    doc_ids = sorted(snapshot._documents)
-    terms = sorted(snapshot._postings)
-    header = {
-        "magic": FORMAT_MAGIC,
-        "format_version": 1,
-        "index_version": snapshot.version,
-        "analyzer": snapshot.analyzer.config(),
-        "document_count": snapshot.document_count,
-        "average_document_length": snapshot.average_document_length,
-        "min_document_length": snapshot.min_document_length,
-        "stored_documents": len(doc_ids),
-        "stored_terms": len(terms),
-    }
-
-    def records():
-        yield header
-        for doc_id in doc_ids:
-            yield _doc_record(doc_id, snapshot._documents[doc_id],
-                              snapshot._doc_lengths[doc_id])
-        for term in terms:
-            yield {
-                "t": "term",
-                "term": term,
-                "df": snapshot._doc_frequencies.get(
-                    term, len(snapshot._postings[term])),
-                "postings": [[posting.doc_id, posting.weighted_tf]
-                             for posting in snapshot._postings[term]],
-            }
-
-    return _write_checksummed(path, records())
-
-
 # -- columnar container access (format v3) -----------------------------------
 
 
-def _probe_magic(path: Path) -> bytes:
-    """The file's first ``len(V3_MAGIC)`` bytes (format sniffing)."""
+def _not_v3(path: Path, handle) -> SnapshotError:
+    """The error for a file that does not open with :data:`V3_MAGIC`.
+
+    A legacy JSON-lines snapshot (its first line a header carrying
+    :data:`FORMAT_MAGIC`) is told to migrate; anything else is foreign.
+    """
+    handle.seek(0)
     try:
-        with open(path, "rb") as handle:
-            return handle.read(len(V3_MAGIC))
-    except OSError as exc:
-        raise SnapshotError(
-            f"cannot read snapshot file {str(path)!r}: {exc}") from exc
+        header = json.loads(handle.readline())
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("magic") != FORMAT_MAGIC:
+        if handle.tell() == 0:
+            return _corrupt(path, "empty file")
+        return _corrupt(path, "not a qunits snapshot file (bad magic: "
+                              "neither a v3 container nor a legacy "
+                              "JSON-lines snapshot)")
+    version = header.get("format_version")
+    if version in (1, 2):
+        return _legacy(path, f"is a version-{version} JSON-lines snapshot")
+    return SnapshotError(
+        f"snapshot file {str(path)!r} has format version {version!r}; "
+        f"this build reads version {FORMAT_VERSION}")
 
 
-def _read_v3_struct(path: Path, handle) -> tuple:
+def _legacy(path: Path, what: str) -> SnapshotError:
+    return SnapshotError(
+        f"snapshot file {str(path)!r} {what}, which this build no longer "
+        f"serves; run `repro migrate {path}` to rewrite it as a clean "
+        f"version-{FORMAT_VERSION} base")
+
+
+def _read_v3_struct(path: Path, handle, *, tail_ok: bool = False) -> tuple:
     """Read and validate the fixed container header from ``handle``
-    (positioned at 0); returns the unpacked extent/digest fields."""
+    (positioned at 0); returns the unpacked extent/digest fields.
+
+    Every v3 reader goes through here, so this is where the file size is
+    held to the header's promise: a shorter file is truncated, and a
+    longer one carries a legacy per-file delta tail that only
+    ``repro migrate`` (``tail_ok``) may read.
+    """
     raw = handle.read(_V3_HEADER.size)
+    if raw[:len(V3_MAGIC)] != V3_MAGIC:
+        raise _not_v3(path, handle)
     if len(raw) < _V3_HEADER.size:
         raise _corrupt(path, "truncated container header")
-    (magic, version, meta_off, meta_len, dir_off, dir_len, cols_off,
+    (_magic, version, meta_off, meta_len, dir_off, dir_len, cols_off,
      cols_len, meta_sha, dir_sha) = _V3_HEADER.unpack(raw)
-    if magic != V3_MAGIC:
-        raise _corrupt(path, "not a qunits snapshot file (bad magic)")
-    if version != 3:
+    if version != FORMAT_VERSION:
         raise SnapshotError(
             f"snapshot file {str(path)!r} has format version {version!r}; "
-            f"this build reads versions {SUPPORTED_VERSIONS}"
+            f"this build reads version {FORMAT_VERSION}"
         )
+    size = os.fstat(handle.fileno()).st_size
+    end = cols_off + cols_len
+    if size < end:
+        raise _corrupt(path, f"file is {size} bytes but the header promises "
+                             f"{end} (truncated?)")
+    if size > end and not tail_ok:
+        raise _legacy(path, f"carries {size - end} bytes of per-file delta "
+                            f"segments past its columns")
     return (meta_off, meta_len, dir_off, dir_len, cols_off, cols_len,
             meta_sha, dir_sha)
 
@@ -956,6 +804,17 @@ def _parse_blob(path: Path, blob: bytes, what: str) -> dict:
     return parsed
 
 
+def _parse_meta(path: Path, blob: bytes, sha: bytes) -> dict:
+    """Verify and parse a v3 meta blob — the one place its checksum and
+    magic are checked, shared by header-only reads and full opens."""
+    if hashlib.sha256(blob).digest() != sha:
+        raise _corrupt(path, "meta checksum mismatch (corrupted)")
+    meta = _parse_blob(path, blob, "meta blob")
+    if meta.get("magic") != FORMAT_MAGIC:
+        raise _corrupt(path, "meta blob carries the wrong magic")
+    return meta
+
+
 def _read_v3_meta(path: Path) -> dict:
     """The meta blob of a v3 container — header-struct plus one seek;
     no term directory or column I/O (the router-cheap path)."""
@@ -968,11 +827,7 @@ def _read_v3_meta(path: Path) -> dict:
     except OSError as exc:
         raise SnapshotError(
             f"cannot read snapshot file {str(path)!r}: {exc}") from exc
-    if len(meta_blob) < meta_len:
-        raise _corrupt(path, "truncated meta blob (truncated?)")
-    if hashlib.sha256(meta_blob).digest() != meta_sha:
-        raise _corrupt(path, "meta checksum mismatch (corrupted)")
-    return _parse_blob(path, meta_blob, "meta blob")
+    return _parse_meta(path, meta_blob, meta_sha)
 
 
 class _V3Backing:
@@ -1024,7 +879,7 @@ class _V3Backing:
         self.doc_ids: list[str] = doc_ids
 
     @classmethod
-    def open(cls, path: Path) -> "_V3Backing":
+    def open(cls, path: Path, *, tail_ok: bool = False) -> "_V3Backing":
         try:
             handle = open(path, "rb")
         except OSError as exc:
@@ -1032,12 +887,8 @@ class _V3Backing:
                 f"cannot read snapshot file {str(path)!r}: {exc}") from exc
         try:
             (meta_off, meta_len, dir_off, dir_len, cols_off, cols_len,
-             meta_sha, dir_sha) = _read_v3_struct(path, handle)
-            size = os.fstat(handle.fileno()).st_size
-            if size < cols_off + cols_len:
-                raise _corrupt(
-                    path, f"file is {size} bytes but the header promises "
-                          f"{cols_off + cols_len} (truncated?)")
+             meta_sha, dir_sha) = _read_v3_struct(path, handle,
+                                                  tail_ok=tail_ok)
             try:
                 view = mmap.mmap(handle.fileno(), 0,
                                  access=mmap.ACCESS_READ)
@@ -1047,14 +898,12 @@ class _V3Backing:
             handle.close()
             raise
         try:
-            meta_blob = view[meta_off:meta_off + meta_len]
-            if hashlib.sha256(meta_blob).digest() != meta_sha:
-                raise _corrupt(path, "meta checksum mismatch (corrupted)")
+            meta = _parse_meta(path, view[meta_off:meta_off + meta_len],
+                               meta_sha)
             dir_blob = view[dir_off:dir_off + dir_len]
             if hashlib.sha256(dir_blob).digest() != dir_sha:
                 raise _corrupt(
                     path, "term directory checksum mismatch (corrupted)")
-            meta = _parse_blob(path, meta_blob, "meta blob")
             directory = _parse_blob(path, dir_blob, "term directory")
         except BaseException:
             view.close()
@@ -1220,7 +1069,7 @@ class _V3Backing:
                 self.path, f"vector extents are inconsistent "
                            f"({exc})") from exc
 
-    # -- documents and deltas ------------------------------------------------
+    # -- documents -----------------------------------------------------------
 
     def doc_lengths_mapping(self) -> dict[str, float]:
         """``doc_id -> weighted length`` from the length column."""
@@ -1258,18 +1107,6 @@ class _V3Backing:
             raise _corrupt(self.path,
                            "document blob does not match the doc_id column")
         return documents
-
-    def delta_lines(self) -> list[str]:
-        """Any delta-segment text trailing the container, as lines."""
-        if len(self._view) <= self.container_end:
-            return []
-        tail = self._view[self.container_end:]
-        try:
-            text = tail.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _corrupt(
-                self.path, f"delta tail is not UTF-8 ({exc})") from exc
-        return text.splitlines(keepends=True)
 
 
 class _LazyPostings(Mapping):
@@ -1344,46 +1181,24 @@ class _LazyDocuments(Mapping):
 
 
 def read_snapshot_header(path: str | os.PathLike) -> dict:
-    """The parsed header of a snapshot file (magic/version checked).
+    """The parsed meta blob of a snapshot file (magic/version checked).
 
     Cheap enough for routers that need a shard file's Bloom filter or
-    partition coordinates without its postings: one line for JSON-lines
-    formats, the fixed struct header plus the meta blob for v3
-    containers (the term directory and columns are not touched).
+    partition coordinates without its postings: the fixed struct header
+    plus the meta blob (the term directory and columns are not touched).
 
     Raises:
-        SnapshotError: on unreadable files, bad magic, or an unsupported
-            format version.
+        SnapshotError: on unreadable or truncated files, bad magic, an
+            unsupported format version, or a file written by an older
+            build (v1/v2, or a trailing delta tail) — the message then
+            names ``repro migrate``.
     """
-    path = Path(path)
-    if _probe_magic(path) == V3_MAGIC:
-        return _read_v3_meta(path)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            first = handle.readline()
-    except OSError as exc:
-        raise SnapshotError(
-            f"cannot read snapshot file {str(path)!r}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _corrupt(path, f"header is not UTF-8 ({exc})") from exc
-    if not first:
-        raise _corrupt(path, "empty file")
-    header = _parse_line(path, first, "header")
-    if header.get("magic") != FORMAT_MAGIC:
-        raise _corrupt(path, "not a qunits snapshot file (bad magic)")
-    if header.get("format_version") not in SUPPORTED_VERSIONS:
-        raise SnapshotError(
-            f"snapshot file {str(path)!r} has format version "
-            f"{header.get('format_version')!r}; this build reads versions "
-            f"{SUPPORTED_VERSIONS}"
-        )
-    return header
+    return _read_v3_meta(Path(path))
 
 
 def load_snapshot(path: str | os.PathLike,
                   store: DocumentStore | None = None) -> IndexSnapshot:
-    """Read a snapshot saved by :func:`save_snapshot` (or the legacy v1
-    writer), applying any delta segments.
+    """Read a snapshot saved by :func:`save_snapshot`.
 
     Args:
         path: the snapshot file.
@@ -1400,11 +1215,12 @@ def load_snapshot(path: str | os.PathLike,
         a store are *shared* with it, not copied.
 
     Raises:
-        SnapshotError: on missing/truncated files, checksum mismatches
-            (base or delta), format-version mismatches, dangling document
+        SnapshotError: on missing/truncated files, checksum mismatches,
+            format-version mismatches, files written by an older build
+            (named ``repro migrate`` in the message), dangling document
             references, and analyzer disagreements with the store.
     """
-    snapshot, _header, _segments = _load_snapshot_file(Path(path), store)
+    snapshot, _meta = _load_v3(Path(path), store)
     return snapshot
 
 
@@ -1420,218 +1236,7 @@ def load_snapshot_with_header(path: str | os.PathLike,
     :meth:`~repro.core.store.CollectionStore.load` pays once per
     definition on the cold-start path.
     """
-    snapshot, header, _segments = _load_snapshot_file(Path(path), store)
-    return snapshot, header
-
-
-def delta_segment_count(path: str | os.PathLike) -> int:
-    """How many delta segments trail the base snapshot in ``path``
-    (0 for version-1 files and freshly compacted version-2 files)."""
-    _snapshot, _header, segments = _load_snapshot_file(Path(path), None)
-    return segments
-
-
-def _load_snapshot_file(path: Path, store: DocumentStore | None,
-                        ) -> tuple[IndexSnapshot, dict, int]:
-    if _probe_magic(path) == V3_MAGIC:
-        return _load_v3(path, store)
-    lines = _read_lines(path)
-    if len(lines) < 2:
-        raise _corrupt(path, "missing header or footer (truncated?)")
-    header = _parse_line(path, lines[0], "header")
-    if header.get("magic") != FORMAT_MAGIC:
-        raise _corrupt(path, "not a qunits snapshot file (bad magic)")
-    format_version = header.get("format_version")
-    if format_version == 1:
-        return _load_v1(path, lines, header), header, 0
-    if format_version == 2:
-        return _load_v2(path, lines, header, store)
-    raise SnapshotError(
-        f"snapshot file {str(path)!r} has format version "
-        f"{format_version!r}; this build reads versions {SUPPORTED_VERSIONS}"
-    )
-
-
-def _verify_base_digest(path: Path, lines: list[str], footer: dict) -> None:
-    digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line.encode("utf-8"))
-    if digest.hexdigest() != footer.get("sha256"):
-        raise _corrupt(path, "checksum mismatch (corrupted)")
-
-
-def _load_v1(path: Path, lines: list[str], header: dict) -> IndexSnapshot:
-    """The legacy single-file layout: footer last, documents inline."""
-    footer_line = lines[-1]
-    if not footer_line.endswith("\n"):
-        raise _corrupt(path, "unterminated final line (truncated?)")
-    footer = _parse_line(path, footer_line, "footer")
-    if footer.get("t") != "end":
-        raise _corrupt(path, "missing end-of-file footer (truncated?)")
-    body = lines[1:-1]
-    expected_records = header.get("stored_documents", 0) + header.get(
-        "stored_terms", 0)
-    if footer.get("records") != len(body) or expected_records != len(body):
-        raise _corrupt(
-            path,
-            f"expected {expected_records} records, found {len(body)} "
-            f"(truncated?)",
-        )
-    _verify_base_digest(path, lines[:-1], footer)
-
-    analyzer = Analyzer.from_config(header.get("analyzer", {}))
-    documents: dict[str, Document] = {}
-    doc_lengths: dict[str, float] = {}
-    postings: dict[str, tuple[Posting, ...]] = {}
-    doc_frequencies: dict[str, int] = {}
-    # A file can pass the checksum yet lack required keys (e.g. written by
-    # a foreign tool); that is still a malformed snapshot, never a raw
-    # KeyError escaping to the caller.
-    try:
-        for i, line in enumerate(body):
-            record = _parse_line(path, line, f"record {i + 1}")
-            kind = record.get("t")
-            if kind == "doc":
-                doc_id, document, length = _doc_from_record(record)
-                documents[doc_id] = document
-                doc_lengths[doc_id] = length
-            elif kind == "term":
-                term = record["term"]
-                postings[term] = tuple(
-                    Posting(doc_id, weighted_tf)
-                    for doc_id, weighted_tf in record["postings"])
-                doc_frequencies[term] = record["df"]
-            else:
-                raise _corrupt(path, f"record {i + 1} has unknown type {kind!r}")
-
-        if len(documents) != header["stored_documents"]:
-            raise _corrupt(path, "document record count does not match header")
-        if len(postings) != header["stored_terms"]:
-            raise _corrupt(path, "term record count does not match header")
-        return IndexSnapshot(
-            version=header["index_version"],
-            analyzer=analyzer,
-            documents=documents,
-            postings=postings,
-            doc_lengths=doc_lengths,
-            doc_frequencies=doc_frequencies,
-            document_count=header["document_count"],
-            average_document_length=header["average_document_length"],
-            min_document_length=header["min_document_length"],
-        )
-    except KeyError as exc:
-        raise _corrupt(path, f"missing required key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise _corrupt(path, f"malformed record structure ({exc})") from exc
-
-
-def _load_v2(path: Path, lines: list[str], header: dict,
-             store: DocumentStore | None) -> tuple[IndexSnapshot, dict, int]:
-    """The document-store + postings-overlay layout, plus delta segments."""
-    try:
-        expected_records = header["stored_documents"] + header["stored_terms"]
-    except KeyError as exc:
-        raise _corrupt(path, f"missing required key {exc.args[0]!r}") from exc
-    footer_index = 1 + expected_records
-    if len(lines) <= footer_index:
-        raise _corrupt(
-            path,
-            f"expected {expected_records} records before the footer, found "
-            f"{len(lines) - 1} lines (truncated?)",
-        )
-    footer_line = lines[footer_index]
-    if not footer_line.endswith("\n"):
-        raise _corrupt(path, "unterminated footer line (truncated?)")
-    footer = _parse_line(path, footer_line, "footer")
-    if footer.get("t") != "end":
-        raise _corrupt(path, "missing base footer (truncated?)")
-    if footer.get("records") != expected_records:
-        raise _corrupt(path, "footer record count does not match header")
-    _verify_base_digest(path, lines[:footer_index], footer)
-
-    docstore_name = header.get("docstore")
-    if docstore_name is not None and store is None:
-        store = load_document_store(path.parent / docstore_name)
-    analyzer = Analyzer.from_config(header.get("analyzer", {}))
-    if store is not None and store.analyzer != analyzer:
-        raise SnapshotError(
-            f"snapshot {str(path)!r} was built with analyzer {analyzer!r}, "
-            f"but its document store uses {store.analyzer!r}; refusing to "
-            f"mix tokenizations"
-        )
-
-    documents: dict[str, Document] = {}
-    doc_lengths: dict[str, float] = {}
-    postings: dict[str, tuple[Posting, ...]] = {}
-    doc_frequencies: dict[str, int] = {}
-    doc_order: list[str] = []  # record order; postings intern into it
-    body = lines[1:footer_index]
-    try:
-        for i, line in enumerate(body):
-            record = _parse_line(path, line, f"record {i + 1}")
-            kind = record.get("t")
-            if kind == "doc":
-                doc_id, document, length = _doc_from_record(record)
-                documents[doc_id] = document
-                doc_lengths[doc_id] = length
-                doc_order.append(doc_id)
-            elif kind == "ref":
-                doc_id = record["id"]
-                if store is None:
-                    raise _corrupt(
-                        path, f"record {i + 1} references a document store "
-                              f"but the header names none")
-                if doc_id not in store.documents:
-                    raise _corrupt(
-                        path, f"document {doc_id!r} is not in the document "
-                              f"store")
-                documents[doc_id] = store.documents[doc_id]
-                doc_lengths[doc_id] = store.doc_lengths[doc_id]
-                doc_order.append(doc_id)
-            elif kind == "term":
-                term = record["term"]
-                plist = []
-                for index, weighted_tf in record["postings"]:
-                    if not isinstance(index, int) or \
-                            not 0 <= index < len(doc_order):
-                        raise _corrupt(
-                            path, f"term {term!r} references document index "
-                                  f"{index!r}, outside this file's "
-                                  f"{len(doc_order)} document records")
-                    plist.append(Posting(doc_order[index], weighted_tf))
-                postings[term] = tuple(plist)
-                doc_frequencies[term] = record["df"]
-            else:
-                raise _corrupt(path, f"record {i + 1} has unknown type {kind!r}")
-        if len(documents) != header["stored_documents"]:
-            raise _corrupt(path, "document record count does not match header")
-        if len(postings) != header["stored_terms"]:
-            raise _corrupt(path, "term record count does not match header")
-
-        stats = {
-            "index_version": header["index_version"],
-            "document_count": header["document_count"],
-            "average_document_length": header["average_document_length"],
-            "min_document_length": header["min_document_length"],
-        }
-        segments = _apply_deltas(path, lines[footer_index + 1:], documents,
-                                 doc_lengths, postings, doc_frequencies,
-                                 stats)
-        return IndexSnapshot(
-            version=stats["index_version"],
-            analyzer=analyzer,
-            documents=documents,
-            postings=postings,
-            doc_lengths=doc_lengths,
-            doc_frequencies=doc_frequencies,
-            document_count=stats["document_count"],
-            average_document_length=stats["average_document_length"],
-            min_document_length=stats["min_document_length"],
-        ), header, segments
-    except KeyError as exc:
-        raise _corrupt(path, f"missing required key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise _corrupt(path, f"malformed record structure ({exc})") from exc
+    return _load_v3(Path(path), store)
 
 
 def _resolve_v3_store(path: Path, backing: _V3Backing,
@@ -1705,69 +1310,16 @@ def _columnar_snapshot(path: Path, backing: _V3Backing,
 
 
 def _load_v3(path: Path, store: DocumentStore | None,
-             ) -> tuple[IndexSnapshot, dict, int]:
-    """The binary columnar container (mmap-backed, columns on demand).
-
-    A delta-free container loads as a :class:`ColumnarIndexSnapshot`
-    whose postings/contributions materialize per term from the map — the
-    O(header + term directory) cold-start path.  A container with a
-    trailing delta tail is materialized eagerly (postings mutate during
-    folding), exactly like a v2 load.
-    """
+             ) -> tuple[ColumnarIndexSnapshot, dict]:
+    """The binary columnar container (mmap-backed, columns on demand):
+    a :class:`ColumnarIndexSnapshot` whose postings/contributions
+    materialize per term from the map — the O(header + term directory)
+    cold-start path — plus the parsed meta blob."""
     backing = _V3Backing.open(path)
     try:
-        meta = backing.meta
-        if meta.get("magic") != FORMAT_MAGIC:
-            raise _corrupt(path, "meta blob carries the wrong magic")
         store = _resolve_v3_store(path, backing, store)
         documents = _v3_documents(path, backing, store)
-        delta_tail = backing.delta_lines()
-        if not delta_tail:
-            return _columnar_snapshot(path, backing, documents), meta, 0
-        # Deltas mutate postings/documents in place: materialize the
-        # columns into plain dicts, fold, and drop the map.
-        try:
-            documents = dict(documents)
-            doc_lengths = backing.doc_lengths_mapping()
-            postings = {term: backing.term_postings(term)
-                        for term in backing.term_directory}
-            doc_frequencies = {term: entry["df"]
-                               for term, entry
-                               in backing.term_directory.items()}
-            if len(documents) != meta["stored_documents"]:
-                raise _corrupt(path, "document record count does not match "
-                                     "header")
-            if len(postings) != meta["stored_terms"]:
-                raise _corrupt(path, "term record count does not match "
-                                     "header")
-            stats = {
-                "index_version": meta["index_version"],
-                "document_count": meta["document_count"],
-                "average_document_length": meta["average_document_length"],
-                "min_document_length": meta["min_document_length"],
-            }
-            segments = _apply_deltas(path, delta_tail, documents,
-                                     doc_lengths, postings, doc_frequencies,
-                                     stats)
-            return IndexSnapshot(
-                version=stats["index_version"],
-                analyzer=Analyzer.from_config(meta.get("analyzer", {})),
-                documents=documents,
-                postings=postings,
-                doc_lengths=doc_lengths,
-                doc_frequencies=doc_frequencies,
-                document_count=stats["document_count"],
-                average_document_length=stats["average_document_length"],
-                min_document_length=stats["min_document_length"],
-            ), meta, segments
-        except KeyError as exc:
-            raise _corrupt(
-                path, f"missing required key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise _corrupt(
-                path, f"malformed record structure ({exc})") from exc
-        finally:
-            backing.close()
+        return _columnar_snapshot(path, backing, documents), backing.meta
     except BaseException:
         backing.close()
         raise
@@ -1776,61 +1328,22 @@ def _load_v3(path: Path, store: DocumentStore | None,
 def open_scoring_snapshot(path: str | os.PathLike) -> IndexSnapshot:
     """Open a snapshot for scoring only, skipping document bodies.
 
-    For a delta-free v3 container this is the zero-copy worker path: the
-    columns are mmap'd, no document store is opened, no document blob is
-    parsed, and postings materialize per queried term — what a process-
-    mode shard worker calls instead of receiving a pickled snapshot over
-    the fork boundary (N workers then share one OS page cache).  Any
-    other file (v1/v2, or a v3 container with a delta tail) falls back
-    to a full :func:`load_snapshot` and returns its
-    :meth:`~repro.ir.index.IndexSnapshot.scoring_view`.
+    The zero-copy worker path: the columns are mmap'd, no document store
+    is opened, no document blob is parsed, and postings materialize per
+    queried term — what a process-mode shard worker calls instead of
+    receiving a pickled snapshot over the fork boundary (N workers then
+    share one OS page cache).
 
     Raises:
         SnapshotError: as :func:`load_snapshot`.
     """
     path = Path(path)
-    if _probe_magic(path) == V3_MAGIC:
-        backing = _V3Backing.open(path)
-        try:
-            if backing.meta.get("magic") != FORMAT_MAGIC:
-                raise _corrupt(path, "meta blob carries the wrong magic")
-            if not backing.delta_lines():
-                return _columnar_snapshot(path, backing, documents={})
-        except BaseException:
-            backing.close()
-            raise
+    backing = _V3Backing.open(path)
+    try:
+        return _columnar_snapshot(path, backing, documents={})
+    except BaseException:
         backing.close()
-    return load_snapshot(path).scoring_view()
-
-
-def _apply_deltas(path: Path, rest: list[str], documents: dict,
-                  doc_lengths: dict, postings: dict, doc_frequencies: dict,
-                  stats: dict) -> int:
-    """Fold trailing delta segments into the base mappings; returns the
-    segment count.  Each segment is independently checksummed; a truncated
-    or corrupted tail raises rather than silently serving a prefix."""
-    segments = 0
-    i = 0
-    while i < len(rest):
-        what = f"delta segment {segments + 1}"
-        delta_line = rest[i]
-        if i + 1 >= len(rest) or not rest[i + 1].endswith("\n"):
-            raise _corrupt(path, f"{what} is missing its checksum line "
-                                 f"(truncated?)")
-        record = _parse_line(path, delta_line, what)
-        end = _parse_line(path, rest[i + 1], f"{what} checksum")
-        if record.get("t") != "delta" or end.get("t") != "delta-end":
-            raise _corrupt(path, f"{what} has malformed record types")
-        if record.get("seq") != segments + 1 or end.get("seq") != segments + 1:
-            raise _corrupt(path, f"{what} is out of sequence")
-        if hashlib.sha256(delta_line.encode("utf-8")).hexdigest() != \
-                end.get("sha256"):
-            raise _corrupt(path, f"{what} checksum mismatch (corrupted)")
-        fold_delta_record(record, documents, doc_lengths, postings,
-                          doc_frequencies, stats, path=path, what=what)
-        segments += 1
-        i += 2
-    return segments
+        raise
 
 
 def fold_delta_record(record: dict, documents: dict, doc_lengths: dict,
@@ -1839,8 +1352,8 @@ def fold_delta_record(record: dict, documents: dict, doc_lengths: dict,
                       what: str = "delta record") -> None:
     """Fold one verified delta record into base index mappings, in place.
 
-    Shared by the per-snapshot delta tail (:func:`_apply_deltas`) and the
-    collection journal (:func:`read_collection_journal` consumers): the
+    Used by collection-journal readers (:func:`read_collection_journal`
+    consumers) and by ``repro migrate`` for legacy per-file tails: the
     record's documents and posting additions are merged and the running
     statistics in ``stats`` (``index_version``, ``document_count``,
     ``average_document_length``, ``min_document_length``) replaced with
@@ -1891,8 +1404,8 @@ def build_delta_record(analyzer, documents, doc_lengths, document_frequency,
     post-addition (current) collection-wide df for a term; the trailing
     statistics describe the post-addition index state.
 
-    Shared by :class:`SnapshotJournal` (per-snapshot delta tails) and the
-    collection-level journal (:func:`append_collection_txn`).
+    The payload of every collection-journal record
+    (:func:`append_collection_txn`).
     """
     docs_records = []
     term_additions: dict[str, list[tuple[str, float]]] = {}
@@ -1939,260 +1452,6 @@ def filter_delta_record(record: dict, keep) -> dict:
                    [addition for addition in additions if keep(addition[0])]]
                   for term, df, additions in record["terms"]],
     }
-
-
-# -- compaction --------------------------------------------------------------
-
-
-def compact_snapshot(path: str | os.PathLike,
-                     store: DocumentStore | None = None) -> int:
-    """Fold a snapshot file's delta segments into a clean base.
-
-    Rewrites ``path`` atomically as a delta-free version-3 base with the
-    same contents, returning the number of segments folded.  A
-    docstore-backed file with no deltas keeps its store-reference layout
-    (and shard/bloom header fields); a file that carried deltas is
-    rewritten standalone, since delta documents are inline and not
-    present in the store.  Version-1 and version-2 files are upgraded to
-    the columnar version-3 container (what ``repro migrate`` runs).  An
-    already-compact version-3 file is left untouched (returns 0, no
-    rewrite).
-
-    Args:
-        path: the snapshot file.
-        store: optional pre-loaded document store backing the file's
-            ``ref`` records, so directory-wide compaction parses the
-            shared store once instead of once per file.
-
-    Raises:
-        SnapshotError: if the file (or any delta segment) fails
-            verification.
-    """
-    path = Path(path)
-    snapshot, header, segments = _load_snapshot_file(path, store)
-    if segments == 0 and header.get("format_version") == FORMAT_VERSION:
-        return 0
-    bloom = header.get("bloom")
-    if bloom is not None and segments:
-        # Delta documents may carry vocabulary the persisted filter has
-        # never seen; the folded base must refresh it, or the compacted
-        # file would pin a filter with false negatives — routing on it
-        # would skip real postings.
-        from repro.ir.shard import TermBloomFilter
-
-        bloom = TermBloomFilter.build(snapshot.terms()).to_dict()
-    # Old-format files upgrade in place, keeping their docstore linkage;
-    # delta-bearing files fold into a standalone base (delta documents
-    # are inline and absent from any store, so preserving the reference
-    # layout would leave dangling ids).
-    docstore = header.get("docstore") if segments == 0 else None
-    save_snapshot(snapshot, path, docstore=docstore,
-                  shard=header.get("shard"), bloom=bloom)
-    return segments
-
-
-# -- incremental journaling --------------------------------------------------
-
-
-class SnapshotJournal:
-    """Incremental on-disk persistence for a live
-    :class:`~repro.ir.index.InvertedIndex`.
-
-    The journal keeps one snapshot file continuously up to date with the
-    index: a base snapshot plus checksummed delta segments, one appended
-    per :meth:`commit` (O(new documents), never a file rewrite).  In
-    ``auto`` mode (the default) the journal subscribes to the index, so
-    every :meth:`~repro.ir.index.InvertedIndex.add` appends a segment by
-    itself.
-
-    Auto-compaction is size-proportional so bulk ingest stays amortized
-    O(1) per document: the journal folds segments into a clean base once
-    at least ``compact_threshold`` segments have accumulated *and* the
-    delta documents amount to >= 25% of the base (a fixed every-K-adds
-    rewrite would make loading N documents O(N^2) in file I/O).
-    :meth:`compact` folds on demand regardless.
-
-    Crash safety: the base is written atomically; each delta segment is
-    verified against its own sha256 on load, so a torn append is detected
-    (and raises) rather than serving a silently truncated index.
-    """
-
-    def __init__(self, index: InvertedIndex, path: str | os.PathLike,
-                 auto: bool = True,
-                 compact_threshold: int = DEFAULT_COMPACT_THRESHOLD):
-        """Attach a journal for ``index`` at ``path``.
-
-        If ``path`` does not exist, a base snapshot of the index's current
-        contents is written.  If it exists, it must hold a subset of the
-        index's documents (the usual flow is :meth:`open`, which rebuilds
-        the index from the file first); documents present in the file but
-        unknown to the index raise.
-
-        Args:
-            index: the live index to persist.
-            path: the snapshot file to keep up to date.
-            auto: subscribe to the index so every ``add`` commits itself.
-            compact_threshold: minimum delta segments before the journal
-                considers folding them into a clean base (must be >= 1;
-                folding additionally waits until the delta reaches 25% of
-                the base — see the class docstring).
-
-        Raises:
-            ValueError: on a non-positive ``compact_threshold``.
-            SnapshotError: if an existing file fails verification or is
-                not a subset of the index.
-        """
-        if compact_threshold < 1:
-            raise ValueError(
-                f"compact_threshold must be >= 1, got {compact_threshold}")
-        self.index = index
-        self.path = Path(path)
-        self.compact_threshold = compact_threshold
-        if self.path.exists():
-            persisted, _header, segments = _load_snapshot_file(self.path, None)
-            unknown = [doc_id for doc_id in persisted._documents
-                       if doc_id not in index._documents]
-            if unknown:
-                raise SnapshotError(
-                    f"journal file {str(self.path)!r} holds documents the "
-                    f"index does not (e.g. {unknown[0]!r}); it is not a "
-                    f"snapshot of this index"
-                )
-            self._persisted = set(persisted._documents)
-            self._segments = segments
-            minimum = persisted.min_document_length
-        else:
-            save_snapshot(index.snapshot(), self.path)
-            self._persisted = set(index._documents)
-            self._segments = 0
-            minimum = index.snapshot().min_document_length
-        # Compaction accounting: documents in the base at the last full
-        # rewrite vs. documents appended as deltas since.  An existing
-        # file's base/delta split is approximated as all-base, which only
-        # delays the next fold.
-        self._base_docs = len(self._persisted)
-        self._delta_docs = 0
-        # Running minimum positive document length (None = none yet), kept
-        # incrementally so commits never rescan the whole index.
-        self._min_length: float | None = minimum if minimum > 0 else None
-        if auto:
-            index.subscribe(self._on_add)
-
-    @classmethod
-    def open(cls, path: str | os.PathLike, analyzer: Analyzer | None = None,
-             **kwargs) -> "SnapshotJournal":
-        """Open (or create) a journaled index at ``path``.
-
-        If the file exists, a live index is rebuilt from it
-        (:meth:`~repro.ir.index.InvertedIndex.from_snapshot`) and the
-        journal resumes appending; otherwise an empty index is created and
-        a base snapshot written.  ``analyzer`` applies only to the
-        fresh-index case.
-
-        Returns:
-            The journal; its live index is at :attr:`SnapshotJournal.index`.
-        """
-        path = Path(path)
-        if path.exists():
-            index = InvertedIndex.from_snapshot(load_snapshot(path))
-        else:
-            index = InvertedIndex(analyzer)
-        return cls(index, path, **kwargs)
-
-    @property
-    def delta_segments(self) -> int:
-        """Delta segments currently trailing the base in the file."""
-        return self._segments
-
-    def pending(self) -> list[str]:
-        """Doc_ids added to the index but not yet committed, sorted.
-
-        Scans the index (O(index size)) — the manual-commit path; the
-        ``auto`` listener commits each added document directly without
-        this scan.
-        """
-        return sorted(doc_id for doc_id in self.index._documents
-                      if doc_id not in self._persisted)
-
-    def _on_add(self, document: Document) -> None:
-        if document.doc_id not in self._persisted:
-            self._commit_ids([document.doc_id])
-
-    def commit(self) -> int:
-        """Append one delta segment covering every uncommitted document.
-
-        Returns the number of documents persisted (0 = nothing pending, no
-        write).  The append itself is O(new documents' text); auto-compacts
-        once :attr:`compact_threshold` segments accumulate.
-        """
-        new_ids = self.pending()
-        if not new_ids:
-            return 0
-        self._commit_ids(new_ids)
-        return len(new_ids)
-
-    def _commit_ids(self, new_ids: list[str]) -> None:
-        self._append_segment(new_ids)
-        self._persisted.update(new_ids)
-        self._segments += 1
-        self._delta_docs += len(new_ids)
-        # Size-proportional folding: enough segments *and* a delta worth
-        # >= 25% of the base, so the total rewrite cost of a bulk load is
-        # a geometric series (amortized O(1) per document).
-        if self._segments >= self.compact_threshold and \
-                self._delta_docs * 4 >= self._base_docs:
-            self.compact()
-
-    def compact(self) -> Path:
-        """Rewrite the file as a clean base of the index's full current
-        contents (folding deltas *and* anything uncommitted); returns the
-        path."""
-        save_snapshot(self.index.snapshot(), self.path)
-        self._persisted = set(self.index._documents)
-        self._segments = 0
-        self._base_docs = len(self._persisted)
-        self._delta_docs = 0
-        minimum = self.index.snapshot().min_document_length
-        self._min_length = minimum if minimum > 0 else None
-        return self.path
-
-    def snapshot(self) -> IndexSnapshot:
-        """The live index's current frozen snapshot (not a file read)."""
-        return self.index.snapshot()
-
-    def _append_segment(self, new_ids: list[str]) -> None:
-        """Serialize ``new_ids`` as one checksummed delta segment.
-
-        Per-term weighted frequencies are recomputed by re-tokenizing each
-        document with the same accumulation order as
-        :meth:`InvertedIndex.add`, so the floats in the segment are
-        bit-identical to the live postings — O(new documents' text), never
-        a scan of the index.
-        """
-        index = self.index
-        for doc_id in new_ids:
-            length = index._doc_lengths[doc_id]
-            if length > 0 and (self._min_length is None
-                               or length < self._min_length):
-                self._min_length = length
-        record = build_delta_record(
-            index.analyzer, index._documents, index._doc_lengths,
-            index.document_frequency, new_ids,
-            seq=self._segments + 1,
-            index_version=index.version,
-            document_count=index.document_count,
-            average_document_length=index.average_document_length,
-            min_document_length=self._min_length or 0.0,
-        )
-        line = _dumps(record) + "\n"
-        end = {
-            "t": "delta-end",
-            "seq": self._segments + 1,
-            "sha256": hashlib.sha256(line.encode("utf-8")).hexdigest(),
-        }
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.write(_dumps(end) + "\n")
 
 
 # -- collection-level journal -------------------------------------------------

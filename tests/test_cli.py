@@ -228,21 +228,115 @@ class TestCompactCommand:
         assert main(["--scale", "0.1", "load", out_dir]) == 0
 
     def test_compact_single_journaled_file(self, capsys, tmp_path):
-        from repro.ir.analysis import Analyzer
-        from repro.ir.documents import Document
-        from repro.ir.index import InvertedIndex
-        from repro.ir.persist import SnapshotJournal, delta_segment_count
-
-        path = tmp_path / "journal.snap"
-        index = InvertedIndex(Analyzer(stem=False))
-        index.add(Document.create("a", {"body": "star wars"}))
-        SnapshotJournal(index, path)
-        index.add(Document.create("b", {"body": "ocean"}))
-        assert delta_segment_count(path) == 1
-        assert main(["compact", str(path)]) == 0
-        assert "folded 1 delta segment(s)" in capsys.readouterr().out
-        assert delta_segment_count(path) == 0
+        # Compaction folds collection journals only; a single file with a
+        # legacy per-file tail is pointed at `repro migrate`, untouched.
+        path = _tailed_snapshot(tmp_path / "journal.snap")
+        before = path.read_bytes()
+        assert main(["compact", str(path)]) == 1
+        assert "repro migrate" in capsys.readouterr().out
+        assert path.read_bytes() == before
 
     def test_compact_empty_directory(self, capsys, tmp_path):
         assert main(["compact", str(tmp_path)]) == 1
         assert "no snapshot files" in capsys.readouterr().out
+
+
+def _tailed_snapshot(path):
+    """A v3 file of document "a" followed by a legacy per-file delta
+    segment adding document "b" (what the removed per-file journal
+    wrote)."""
+    from repro.ir.analysis import Analyzer
+    from repro.ir.documents import Document
+    from repro.ir.index import InvertedIndex
+    from repro.ir.persist import save_snapshot
+
+    from legacy_formats import append_delta_segment
+
+    index = InvertedIndex(Analyzer(stem=False))
+    index.add(Document.create("a", {"body": "star wars"}))
+    save_snapshot(index.snapshot(), path)
+    index.add(Document.create("b", {"body": "ocean"}))
+    append_delta_segment(path, index, ["b"], seq=1)
+    return path
+
+
+def _rewrite_as_legacy(directory, version: int) -> None:
+    """Rewrite a `save`d directory the way an older build wrote it:
+    version-2 snapshot files against the shared document store (shard
+    files and Bloom filters kept), or a version-1 generation (manifest
+    v1, inline documents, no store and no shards)."""
+    import json
+
+    from repro.ir.persist import load_document_store, load_snapshot_with_header
+
+    from legacy_formats import save_snapshot_v1, save_snapshot_v2
+
+    manifest_path = directory / "collection.json"
+    manifest = json.loads(manifest_path.read_text())
+    store_path = directory / manifest["docstore"]
+    store = load_document_store(store_path)
+    for path in sorted(directory.glob("*.snap")):
+        snapshot, header = load_snapshot_with_header(path, store=store)
+        if version == 2:
+            save_snapshot_v2(snapshot, path, docstore=header["docstore"],
+                             shard=header["shard"], bloom=header["bloom"])
+        elif path.name.startswith("shard-"):
+            path.unlink()
+        else:
+            save_snapshot_v1(snapshot, path)
+    if version == 1:
+        store_path.unlink()
+        manifest = {key: manifest[key] for key in (
+            "magic", "analyzer", "database", "max_instances_per_definition",
+            "definitions", "snapshots")}
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+
+
+class TestMigrateCommand:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_legacy_directory_migrates_and_answers_like_live(
+            self, capsys, tmp_path, version):
+        from repro.errors import SnapshotError
+
+        out_dir = tmp_path / "gen"
+        assert main(["--scale", "0.1", "save", str(out_dir),
+                     "--max-instances", "150", "--shards", "2"]) == 0
+        _rewrite_as_legacy(out_dir, version)
+        capsys.readouterr()
+        with pytest.raises(SnapshotError, match="repro migrate"):
+            main(["--scale", "0.1", "load", str(out_dir)])
+
+        assert main(["migrate", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        files = sorted(out_dir.glob("*.snap"))
+        assert out.count(f"v{version} -> v3") == len(files)
+        assert f"migrated {len(files)} of {len(files)} file(s)" in out
+        assert main(["migrate", str(out_dir)]) == 0
+        assert capsys.readouterr().out.count("already v3, skipped") == \
+               len(files)
+
+        assert main(["--scale", "0.1", "search", "star wars cast",
+                     "--limit", "2"]) == 0
+        live = capsys.readouterr().out
+        load_args = ["--scale", "0.1", "load", str(out_dir),
+                     "star wars cast", "--limit", "2"]
+        if version == 2:
+            load_args += ["--shards", "2", "--shard-mode", "serial"]
+        assert main(load_args) == 0
+        loaded = capsys.readouterr().out
+        assert live[live.index("query   :"):] == \
+               loaded[loaded.index("query   :"):]
+
+    def test_v3_file_with_delta_tail_is_folded(self, capsys, tmp_path):
+        from repro.ir.persist import load_snapshot
+
+        path = _tailed_snapshot(tmp_path / "journal.snap")
+        assert main(["migrate", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "folded 1 delta segment(s)" in out
+        assert "migrated 1 of 1 file(s)" in out
+        loaded = load_snapshot(path)
+        assert sorted(doc.doc_id for doc in loaded.documents()) == ["a", "b"]
+        assert main(["migrate", str(path)]) == 0
+        assert "already v3, skipped" in capsys.readouterr().out

@@ -482,11 +482,16 @@ class TestSnapshotV2Layout:
         assert len(unique_objects) == len(store)
 
     def test_v1_generation_still_loads(self, mini_db, tmp_path):
-        # A directory written by the previous build: version-1 manifest,
-        # version-1 snapshot files with inline documents.
+        # A directory written by an older build: version-1 manifest,
+        # version-1 snapshot files with inline documents.  Loading it
+        # directly is refused with a typed error naming the fix; after
+        # migration it loads rank- and score-identical.
         import json
 
-        from repro.ir.persist import save_snapshot_v1
+        from repro.errors import SnapshotError
+        from repro.ir.migrate import migrate_snapshot
+
+        from legacy_formats import save_snapshot_v1
 
         collection = QunitCollection(mini_db, definitions())
         out = tmp_path / "legacy"
@@ -509,12 +514,21 @@ class TestSnapshotV2Layout:
         }
         (out / "collection.json").write_text(json.dumps(manifest))
 
-        loaded = _load(mini_db, out)
-        for query in ("star wars", "person", "zzz"):
-            assert [(h.doc_id, h.score)
-                    for h in loaded.searcher().search(query, limit=4)] == \
-                   [(h.doc_id, h.score)
-                    for h in collection.searcher().search(query, limit=4)]
+        for lazy in (True, False):
+            with pytest.raises(SnapshotError, match="repro migrate"):
+                CollectionStore(out).load(mini_db, LoadOptions(lazy=lazy))
+        for path in sorted(out.glob("*.snap")):
+            assert migrate_snapshot(path) == (1, 0)
+
+        for lazy in (True, False):
+            loaded = CollectionStore(out).load(mini_db,
+                                               LoadOptions(lazy=lazy))
+            for query in ("star wars", "person", "zzz"):
+                assert [(h.doc_id, h.score)
+                        for h in loaded.searcher().search(query, limit=4)] \
+                    == [(h.doc_id, h.score)
+                        for h in collection.searcher().search(query,
+                                                              limit=4)]
 
     def test_resave_prunes_stale_store_files(self, mini_db, tmp_path):
         import json

@@ -8,24 +8,31 @@ from repro.errors import SnapshotError
 from repro.ir.analysis import Analyzer
 from repro.ir.documents import Document
 from repro.ir.index import InvertedIndex
+from repro.ir.migrate import migrate_snapshot
 from repro.ir.persist import (
     FORMAT_VERSION,
     V3_MAGIC,
     DocumentStore,
-    SnapshotJournal,
-    compact_snapshot,
-    delta_segment_count,
+    append_collection_txn,
+    build_delta_record,
+    fold_delta_record,
     load_document_store,
     load_snapshot,
     open_scoring_snapshot,
+    read_collection_journal,
+    read_snapshot_doc_ids,
     read_snapshot_header,
     save_document_store,
     save_snapshot,
-    save_snapshot_v1,
-    save_snapshot_v2,
 )
 from repro.ir.retrieval import Searcher
 from repro.ir.scoring import Bm25Scorer, TfIdfScorer
+
+from legacy_formats import (
+    append_delta_segment,
+    save_snapshot_v1,
+    save_snapshot_v2,
+)
 
 
 def build_index(bodies: dict[str, str], analyzer: Analyzer | None = None):
@@ -51,13 +58,26 @@ def saved(tmp_path):
     return index, path
 
 
-@pytest.fixture()
-def saved_v2(tmp_path):
-    """A legacy JSON-lines (v2) file, for line-level corruption tests."""
-    index = build_index(BODIES)
-    path = tmp_path / "index.snap"
-    save_snapshot_v2(index.snapshot(), path)
-    return index, path
+def resign_meta(path, mutate):
+    """Rewrite a v3 container with ``mutate(meta)`` applied to its meta
+    blob, re-signed and re-laid-out so only the mutation is wrong."""
+    import hashlib
+    import struct
+
+    raw = path.read_bytes()
+    (_magic, version, meta_off, meta_len, dir_off, dir_len, cols_off,
+     cols_len, _meta_sha, dir_sha) = struct.unpack_from("<12sI6Q32s32s", raw)
+    meta = json.loads(raw[meta_off:meta_off + meta_len])
+    mutate(meta)
+    meta_blob = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+    dir_blob = raw[dir_off:dir_off + dir_len]
+    size = struct.calcsize("<12sI6Q32s32s")
+    header = struct.pack(
+        "<12sI6Q32s32s", V3_MAGIC, version, size, len(meta_blob),
+        size + len(meta_blob), dir_len, size + len(meta_blob) + dir_len,
+        cols_len, hashlib.sha256(meta_blob).digest(), dir_sha)
+    path.write_bytes(header + meta_blob + dir_blob
+                     + raw[cols_off:cols_off + cols_len])
 
 
 class TestRoundTrip:
@@ -131,19 +151,23 @@ class TestRejection:
         with pytest.raises(SnapshotError, match="cannot read"):
             load_snapshot(tmp_path / "nope.snap")
 
-    def test_truncated_file(self, saved_v2):
-        _index, path = saved_v2
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:-2]))  # drop a record + the footer
+    def test_truncated_file(self, saved):
+        _index, path = saved
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-16])  # the last column loses its tail
         with pytest.raises(SnapshotError, match="truncated"):
             load_snapshot(path)
 
-    def test_truncated_mid_line(self, saved_v2):
-        _index, path = saved_v2
-        content = path.read_text()
-        path.write_text(content[: len(content) - 7])
-        with pytest.raises(SnapshotError):
-            load_snapshot(path)
+    def test_truncated_mid_line(self, saved):
+        # Cut inside the meta blob: the header promises bytes the file
+        # no longer has, which every reader must notice up front.
+        _index, path = saved
+        raw = path.read_bytes()
+        path.write_bytes(raw[:len(V3_MAGIC) + 4 + 48 + 64 + 7])
+        for reader in (load_snapshot, read_snapshot_header,
+                       open_scoring_snapshot, read_snapshot_doc_ids):
+            with pytest.raises(SnapshotError, match="truncated"):
+                reader(path)
 
     def test_corrupted_byte(self, saved):
         _index, path = saved
@@ -154,15 +178,19 @@ class TestRejection:
         with pytest.raises(SnapshotError):
             load_snapshot(path)
 
-    def test_format_version_mismatch(self, saved_v2):
-        _index, path = saved_v2
+    def test_format_version_mismatch(self, tmp_path):
+        # A JSON-lines header from an unknown (future) version is not a
+        # legacy file migrate could read: report the version instead.
+        path = save_snapshot_v2(build_index(BODIES).snapshot(),
+                                tmp_path / "index.snap")
         lines = path.read_text().splitlines(keepends=True)
         header = json.loads(lines[0])
         header["format_version"] = FORMAT_VERSION + 1
         lines[0] = json.dumps(header) + "\n"
         path.write_text("".join(lines))
-        with pytest.raises(SnapshotError, match="format version"):
+        with pytest.raises(SnapshotError, match="format version") as info:
             load_snapshot(path)
+        assert "migrate" not in str(info.value)
 
     def test_wrong_magic(self, saved):
         _index, path = saved
@@ -176,23 +204,11 @@ class TestRejection:
         with pytest.raises(SnapshotError, match="JSON"):
             load_snapshot(path)
 
-    def test_checksum_valid_but_missing_header_key(self, saved_v2):
+    def test_checksum_valid_but_missing_header_key(self, saved):
         # A foreign writer can produce a checksummed file lacking required
         # keys; that must surface as SnapshotError, never a raw KeyError.
-        import hashlib
-
-        _index, path = saved_v2
-        lines = path.read_text().splitlines(keepends=True)
-        header = json.loads(lines[0])
-        del header["index_version"]
-        lines[0] = json.dumps(header, separators=(",", ":")) + "\n"
-        digest = hashlib.sha256()
-        for line in lines[:-1]:
-            digest.update(line.encode("utf-8"))
-        footer = json.loads(lines[-1])
-        footer["sha256"] = digest.hexdigest()
-        lines[-1] = json.dumps(footer, separators=(",", ":")) + "\n"
-        path.write_text("".join(lines))
+        _index, path = saved
+        resign_meta(path, lambda meta: meta.pop("index_version"))
         with pytest.raises(SnapshotError, match="missing required key"):
             load_snapshot(path)
 
@@ -251,6 +267,16 @@ class TestV3Rejection:
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapshotError, match="checksum mismatch"):
             load_snapshot(path)
+
+    def test_wrong_meta_magic_with_valid_checksum(self, saved):
+        # The meta magic is checked once, in the shared meta read, so
+        # header-only readers refuse the file as surely as full loads.
+        _index, path = saved
+        resign_meta(path, lambda meta: meta.update(magic="something-else"))
+        for reader in (read_snapshot_header, read_snapshot_doc_ids,
+                       load_snapshot, open_scoring_snapshot):
+            with pytest.raises(SnapshotError, match="wrong magic"):
+                reader(path)
 
     def test_corrupted_term_directory_detected(self, saved):
         _index, path = saved
@@ -448,66 +474,128 @@ class TestDocstoreBackedSnapshots:
         assert header["format_version"] == FORMAT_VERSION
 
 
+def assert_serves_like(loaded, index, queries=("star wars", "ocean",
+                                               "trek star wars", "zzz")):
+    """``loaded`` answers like the live ``index``: same ranks, same
+    floats, same documents."""
+    live = Searcher(index)
+    cold = Searcher(loaded)
+    for query in queries:
+        assert [(h.doc_id, h.score) for h in cold.search(query, 10)] == \
+               [(h.doc_id, h.score) for h in live.search(query, 10)]
+    for document in index.documents():
+        assert loaded.document(document.doc_id) == document
+
+
 class TestV1BackCompat:
+    """Version-1 files no longer load directly; ``repro migrate`` turns
+    them into v3 bases that serve exactly like the index that wrote
+    them."""
+
     def test_v1_file_still_loads(self, tmp_path):
         index = build_index(BODIES)
-        snapshot = index.snapshot()
-        path = save_snapshot_v1(snapshot, tmp_path / "legacy.snap")
+        path = save_snapshot_v1(index.snapshot(), tmp_path / "legacy.snap")
         assert json.loads(path.read_text().splitlines()[0]
                           )["format_version"] == 1
-        loaded = load_snapshot(path)
-        for document in index.documents():
-            assert loaded.document(document.doc_id) == document
-        live = Searcher(index)
-        cold = Searcher(loaded)
-        for query in ("star wars", "ocean", "zzz"):
-            assert [(h.doc_id, h.score) for h in cold.search(query, 4)] == \
-                   [(h.doc_id, h.score) for h in live.search(query, 4)]
+        with pytest.raises(SnapshotError, match="repro migrate"):
+            load_snapshot(path)
+        assert migrate_snapshot(path) == (1, 0)
+        assert_serves_like(load_snapshot(path), index)
 
     def test_v1_and_v2_load_identically(self, tmp_path):
         index = build_index(BODIES)
         snapshot = index.snapshot()
-        v1 = load_snapshot(save_snapshot_v1(snapshot, tmp_path / "v1.snap"))
-        v2 = load_snapshot(save_snapshot(snapshot, tmp_path / "v2.snap"))
+        v1_path = save_snapshot_v1(snapshot, tmp_path / "v1.snap")
+        v2_path = save_snapshot_v2(snapshot, tmp_path / "v2.snap")
+        migrate_snapshot(v1_path)
+        migrate_snapshot(v2_path)
+        v1, v2 = load_snapshot(v1_path), load_snapshot(v2_path)
         assert sorted(v1.terms()) == sorted(v2.terms())
         for term in v1.terms():
             assert v1.postings(term) == v2.postings(term)
         assert v1.average_document_length == v2.average_document_length
 
     def test_compact_upgrades_v1_to_v2(self, tmp_path):
+        # Historical name: the fold-and-rewrite step is ``repro migrate``
+        # now, and it always writes the current (v3) container.
         index = build_index(BODIES)
         path = save_snapshot_v1(index.snapshot(), tmp_path / "legacy.snap")
-        compact_snapshot(path)
+        migrate_snapshot(path)
         header = read_snapshot_header(path)
         assert header["format_version"] == FORMAT_VERSION
         loaded = load_snapshot(path)
         assert loaded.document("a") == index.document("a")
 
 
+def journal_record(index, new_ids, seq, target=None):
+    """One collection-journal record for ``new_ids`` (already in
+    ``index``), as ``CollectionStore`` builds them."""
+    snapshot = index.snapshot()
+    record = build_delta_record(
+        index.analyzer, index._documents, index._doc_lengths,
+        index.document_frequency, new_ids, seq=seq,
+        index_version=index.version, document_count=index.document_count,
+        average_document_length=index.average_document_length,
+        min_document_length=snapshot.min_document_length)
+    record["target"] = target
+    return record
+
+
+def fold_records(base, records):
+    """``base`` with ``records`` folded in, as a plain snapshot."""
+    from repro.ir.index import IndexSnapshot
+
+    documents = dict(base._documents)
+    doc_lengths = dict(base._doc_lengths)
+    postings = {term: base.postings(term) for term in base.terms()}
+    doc_frequencies = {term: base.document_frequency(term)
+                       for term in base.terms()}
+    stats = {}
+    for record in records:
+        fold_delta_record(record, documents, doc_lengths, postings,
+                          doc_frequencies, stats)
+    return IndexSnapshot(
+        version=stats["index_version"], analyzer=base.analyzer,
+        documents=documents, postings=postings, doc_lengths=doc_lengths,
+        doc_frequencies=doc_frequencies,
+        document_count=stats["document_count"],
+        average_document_length=stats["average_document_length"],
+        min_document_length=stats["min_document_length"])
+
+
 class TestDeltaSegments:
+    """Delta records: the collection journal's appends and folds, and
+    the legacy per-file segments only ``repro migrate`` still reads."""
+
     def test_journal_appends_instead_of_rewriting(self, tmp_path):
-        path = tmp_path / "journal.snap"
+        path = tmp_path / "journal-g1.jrnl"
         index = build_index(BODIES)
-        journal = SnapshotJournal(index, path)
-        base_bytes = path.read_bytes()
         index.add(Document.create("z1", {"body": "fresh star ocean"}))
+        size = append_collection_txn(path, "g1", 0,
+                                     [journal_record(index, ["z1"], 1)])
+        first = path.read_bytes()
         index.add(Document.create("z2", {"body": "fresh trek"}))
-        assert journal.delta_segments == 2
-        assert delta_segment_count(path) == 2
-        # Appends only: the base container's bytes are untouched, the
-        # delta tail is 2 segments x (delta + end) text lines.
+        size = append_collection_txn(path, "g1", size,
+                                     [journal_record(index, ["z2"], 2)])
         raw = path.read_bytes()
-        assert raw[:len(base_bytes)] == base_bytes
-        tail = raw[len(base_bytes):].decode("utf-8")
-        assert len(tail.splitlines()) == 4
+        # Appends only: the first transaction's bytes are untouched; the
+        # second adds one delta + one delta-end line.
+        assert raw[:len(first)] == first
+        assert len(raw[len(first):].decode("utf-8").splitlines()) == 2
+        assert size == len(raw)
+        records = read_collection_journal(path, size, generation="g1")
+        assert [record["seq"] for record in records[None]] == [1, 2]
 
     def test_journaled_snapshot_loads_float_identical(self, tmp_path):
-        path = tmp_path / "journal.snap"
         index = build_index(BODIES)
-        SnapshotJournal(index, path)
+        base_path = save_snapshot(index.snapshot(), tmp_path / "base.snap")
         index.add(Document.create("z1", {"body": "fresh star ocean wars"}))
         index.add(Document.create("z2", {"body": "cast fresh"}))
-        loaded = load_snapshot(path)
+        path = tmp_path / "journal-g1.jrnl"
+        size = append_collection_txn(
+            path, "g1", 0, [journal_record(index, ["z1", "z2"], 1)])
+        records = read_collection_journal(path, size, generation="g1")
+        loaded = fold_records(load_snapshot(base_path), records[None])
         snapshot = index.snapshot()
         assert loaded.version == snapshot.version
         assert loaded.document_count == snapshot.document_count
@@ -518,179 +606,101 @@ class TestDeltaSegments:
             assert loaded.postings(term) == snapshot.postings(term)
             assert loaded.document_frequency(term) == \
                    snapshot.document_frequency(term)
-        live = Searcher(index)
-        cold = Searcher(loaded)
-        for query in ("star wars", "fresh", "cast ocean", "zzz"):
-            assert [(h.doc_id, h.score) for h in cold.search(query, 5)] == \
-                   [(h.doc_id, h.score) for h in live.search(query, 5)]
-
-    def test_manual_commit_batches_pending_docs(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        journal = SnapshotJournal(index, path, auto=False)
-        index.add(Document.create("z1", {"body": "fresh star"}))
-        index.add(Document.create("z2", {"body": "fresh trek"}))
-        assert journal.pending() == ["z1", "z2"]
-        assert journal.commit() == 2
-        assert journal.pending() == []
-        assert journal.delta_segments == 1
-        assert journal.commit() == 0  # idempotent, no empty segments
-        assert journal.delta_segments == 1
-        loaded = load_snapshot(path)
-        assert loaded.document("z1").field("body") == "fresh star"
-
-    def test_auto_compaction_past_threshold(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        journal = SnapshotJournal(index, path, compact_threshold=3)
-        for i in range(7):
-            index.add(Document.create(f"z{i}", {"body": f"fresh {i} star"}))
-        assert journal.delta_segments < 3
-        loaded = load_snapshot(path)
-        assert loaded.document_count == len(BODIES) + 7
-
-    def test_explicit_compaction(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        journal = SnapshotJournal(index, path)
-        index.add(Document.create("z1", {"body": "fresh star"}))
-        assert delta_segment_count(path) == 1
-        journal.compact()
-        assert delta_segment_count(path) == 0
-        assert journal.delta_segments == 0
-        loaded = load_snapshot(path)
-        assert loaded.document_count == len(BODIES) + 1
-
-    def test_compact_snapshot_function(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        SnapshotJournal(index, path)
-        index.add(Document.create("z1", {"body": "fresh star"}))
-        before = load_snapshot(path)
-        compact_snapshot(path)
-        assert delta_segment_count(path) == 0
-        after = load_snapshot(path)
-        assert after.document_count == before.document_count
-        for term in before.terms():
-            assert after.postings(term) == before.postings(term)
+        assert_serves_like(loaded, index,
+                           ("star wars", "fresh", "cast ocean", "zzz"))
 
     def test_truncated_delta_detected(self, tmp_path):
-        path = tmp_path / "journal.snap"
+        path = save_snapshot(build_index(BODIES).snapshot(),
+                             tmp_path / "journal.snap")
         index = build_index(BODIES)
-        SnapshotJournal(index, path)
         index.add(Document.create("z1", {"body": "fresh star"}))
+        append_delta_segment(path, index, ["z1"], seq=1)
         # Drop the delta-end line: the tail's last newline-terminated line.
         raw = path.read_bytes()
         cut = raw.rfind(b"\n", 0, len(raw) - 1) + 1
         path.write_bytes(raw[:cut])
-        with pytest.raises(SnapshotError, match="checksum line"):
+        with pytest.raises(SnapshotError, match="repro migrate"):
             load_snapshot(path)
+        with pytest.raises(SnapshotError, match="checksum line"):
+            migrate_snapshot(path)
 
     def test_corrupted_delta_detected(self, tmp_path):
-        path = tmp_path / "journal.snap"
+        path = save_snapshot(build_index(BODIES).snapshot(),
+                             tmp_path / "journal.snap")
         index = build_index(BODIES)
-        SnapshotJournal(index, path)
         index.add(Document.create("z1", {"body": "fresh star"}))
+        append_delta_segment(path, index, ["z1"], seq=1)
         # "fresh" appears only in the appended delta text, not the base.
         raw = path.read_bytes()
         assert raw.count(b"fresh")
         path.write_bytes(raw.replace(b"fresh", b"frxsh"))
-        with pytest.raises(SnapshotError, match="delta segment"):
+        with pytest.raises(SnapshotError, match="repro migrate"):
             load_snapshot(path)
-
-    def test_journal_reopen_resumes(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index(BODIES)
-        SnapshotJournal(index, path)
-        index.add(Document.create("z1", {"body": "fresh star"}))
-
-        reopened = SnapshotJournal.open(path)
-        assert reopened.pending() == []
-        assert set(reopened.index._documents) == set(index._documents)
-        reopened.index.add(Document.create("z2", {"body": "fresh trek"}))
-        loaded = load_snapshot(path)
-        assert loaded.document_count == len(BODIES) + 2
-        hits = Searcher(loaded).search("fresh trek", 3)
-        assert hits and hits[0].doc_id == "z2"
+        with pytest.raises(SnapshotError, match="delta segment"):
+            migrate_snapshot(path)
+        assert b"frxsh" in path.read_bytes()  # never half-migrated
 
     def test_journal_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        save_snapshot(build_index(BODIES).snapshot(), path)
-        other = build_index({"q": "unrelated"})
-        with pytest.raises(SnapshotError, match="not a snapshot of"):
-            SnapshotJournal(other, path)
-
-    def test_invalid_compact_threshold(self, tmp_path):
+        path = tmp_path / "journal-g1.jrnl"
         index = build_index(BODIES)
-        with pytest.raises(ValueError):
-            SnapshotJournal(index, tmp_path / "j.snap", compact_threshold=0)
+        index.add(Document.create("z1", {"body": "fresh"}))
+        size = append_collection_txn(path, "g1", 0,
+                                     [journal_record(index, ["z1"], 1)])
+        with pytest.raises(SnapshotError, match="does not match"):
+            read_collection_journal(path, size, generation="g2")
 
     def test_rejected_add_leaves_journal_functional(self, tmp_path):
         # Regression: a document rejected mid-add (non-positive weight)
         # must leave the index untouched — previously it stayed
-        # half-registered and the journal's next auto-commit crashed on
-        # the poisoned doc_id, permanently breaking the index.
+        # half-registered and the next journal record carried the
+        # poisoned doc_id's statistics.
         from repro.errors import IndexError_
 
-        path = tmp_path / "journal.snap"
         index = build_index(BODIES)
-        journal = SnapshotJournal(index, path)
+        base = index.snapshot()
         bad = Document.create("bad", {"body": "boom"}, {"body": 0.0})
         with pytest.raises(IndexError_):
             index.add(bad)
         assert "bad" not in index._documents
-        assert journal.pending() == []
-        index.add(Document.create("z1", {"body": "fresh star"}))  # still works
-        loaded = load_snapshot(path)
+        assert index.version == base.version
+        index.add(Document.create("z1", {"body": "fresh star"}))
+        loaded = fold_records(base, [journal_record(index, ["z1"], 1)])
         assert "z1" in loaded
         assert "bad" not in loaded
+        assert loaded.document_count == len(BODIES) + 1
 
     def test_compact_leaves_clean_v2_file_untouched(self, tmp_path):
+        # ``repro migrate`` is the only fold step for per-file segments;
+        # a clean current-format file is left byte-identical.
         path = save_snapshot(build_index(BODIES).snapshot(),
                              tmp_path / "clean.snap")
         before = path.read_bytes()
-        assert compact_snapshot(path) == 0
+        assert migrate_snapshot(path) == (FORMAT_VERSION, 0)
         assert path.read_bytes() == before
 
     def test_compact_returns_folded_segment_count(self, tmp_path):
-        path = tmp_path / "journal.snap"
+        path = save_snapshot(build_index(BODIES).snapshot(),
+                             tmp_path / "journal.snap")
         index = build_index(BODIES)
-        SnapshotJournal(index, path)
         index.add(Document.create("z1", {"body": "fresh star"}))
+        append_delta_segment(path, index, ["z1"], seq=1)
         index.add(Document.create("z2", {"body": "fresh trek"}))
-        assert compact_snapshot(path) == 2
-        assert compact_snapshot(path) == 0
+        append_delta_segment(path, index, ["z2"], seq=2)
+        assert migrate_snapshot(path) == (FORMAT_VERSION, 2)
+        assert migrate_snapshot(path) == (FORMAT_VERSION, 0)
 
-    def test_bulk_ingest_compaction_is_size_proportional(self, tmp_path):
-        # Regression: auto mode must not rewrite the whole file every
-        # compact_threshold adds — folding waits until the delta is a
-        # real fraction (25%) of the base, so bulk loading N documents
-        # costs O(N) file I/O, not O(N^2).
-        path = tmp_path / "journal.snap"
+    def test_compact_snapshot_function(self, tmp_path):
+        path = save_snapshot(build_index(BODIES).snapshot(),
+                             tmp_path / "journal.snap")
         index = build_index(BODIES)
-        journal = SnapshotJournal(index, path, compact_threshold=2)
-        compactions = {"n": 0}
-        original = journal.compact
-
-        def counting_compact():
-            compactions["n"] += 1
-            return original()
-
-        journal.compact = counting_compact
-        for i in range(64):
-            index.add(Document.create(f"bulk{i}", {"body": f"term{i} star"}))
-        # Doubling-style growth: a handful of folds, not 64/2 = 32.
-        assert compactions["n"] <= 10
-        loaded = load_snapshot(path)
-        assert loaded.document_count == len(BODIES) + 64
-
-    def test_small_delta_on_large_base_not_compacted(self, tmp_path):
-        path = tmp_path / "journal.snap"
-        index = build_index({f"d{i}": f"word{i} star" for i in range(40)})
-        journal = SnapshotJournal(index, path, compact_threshold=1)
-        index.add(Document.create("tail", {"body": "fresh star"}))
-        # One doc against a 40-doc base: appended, not folded.
-        assert journal.delta_segments == 1
+        index.add(Document.create("z1", {"body": "fresh star"}))
+        append_delta_segment(path, index, ["z1"], seq=1)
+        migrate_snapshot(path)
+        after = load_snapshot(path)
+        assert after.document_count == index.document_count
+        for term in index.snapshot().terms():
+            assert after.postings(term) == index.snapshot().postings(term)
+        assert_serves_like(after, index, ("fresh star", "ocean", "zzz"))
 
 
 class TestDocStorePartitionLoads:
@@ -791,8 +801,6 @@ class TestDocStorePartitionLoads:
             load_document_store_partition(path, ["a"])
 
     def test_read_snapshot_doc_ids(self, tmp_path):
-        from repro.ir.persist import read_snapshot_doc_ids
-
         index = build_index(BODIES)
         snapshot = index.snapshot()
         store = DocumentStore.from_snapshot(snapshot)
@@ -804,8 +812,6 @@ class TestDocStorePartitionLoads:
         assert read_snapshot_doc_ids(inline_path) == sorted(BODIES)
 
     def test_read_snapshot_doc_ids_truncated(self, tmp_path):
-        from repro.ir.persist import read_snapshot_doc_ids
-
         index = build_index(BODIES)
         path = save_snapshot(index.snapshot(), tmp_path / "t.snap")
         raw = path.read_bytes()
@@ -814,14 +820,16 @@ class TestDocStorePartitionLoads:
             read_snapshot_doc_ids(path)
 
     def test_read_snapshot_doc_ids_truncated_v2(self, tmp_path):
-        from repro.ir.persist import read_snapshot_doc_ids
-
+        # A legacy file is refused by name before any of its records are
+        # read; migrating it then reports the truncation.
         index = build_index(BODIES)
         path = save_snapshot_v2(index.snapshot(), tmp_path / "t.snap")
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:2]))  # header + one record
-        with pytest.raises(SnapshotError, match="truncated"):
+        with pytest.raises(SnapshotError, match="repro migrate"):
             read_snapshot_doc_ids(path)
+        with pytest.raises(SnapshotError, match="truncated"):
+            migrate_snapshot(path)
 
     def test_load_shard_pins_only_its_partition(self, tmp_path):
         # The ROADMAP item this closes: a shard-local load must not parse

@@ -14,15 +14,12 @@ from repro.ir.analysis import Analyzer
 from repro.ir.documents import Document
 from repro.ir.embed import DEFAULT_DIMS, HashingEmbedder
 from repro.ir.index import InvertedIndex
-from repro.ir.persist import (
-    compact_snapshot,
-    load_snapshot,
-    save_snapshot,
-    save_snapshot_v1,
-    save_snapshot_v2,
-)
+from repro.ir.migrate import migrate_snapshot
+from repro.ir.persist import load_snapshot, save_snapshot
 from repro.ir.retrieval import Searcher
 from repro.ir.vector import VectorIndex, reciprocal_rank_fusion
+
+from legacy_formats import save_snapshot_v1, save_snapshot_v2
 
 BODIES = {
     "d0": "star wars a space opera saga",
@@ -199,7 +196,7 @@ class TestVectorPersistence:
                              ("v2", save_snapshot_v2)):
             path = tmp_path / f"{label}.snap"
             saver(snapshot, path)
-            assert compact_snapshot(path) >= 0  # the migrate operation
+            migrate_snapshot(path)
             assert load_snapshot(path).vectors(HashingEmbedder()) is None
 
 
@@ -245,7 +242,7 @@ class TestHybridFallback:
     def test_migrated_snapshot_degrades_gracefully(self, tmp_path):
         path = tmp_path / "legacy.snap"
         save_snapshot_v2(build_index().snapshot(), path)
-        compact_snapshot(path)
+        migrate_snapshot(path)
         loaded = load_snapshot(path)
         searcher = Searcher(loaded, strategy="hybrid", cache_size=0)
         with pytest.warns(RuntimeWarning, match="migrated"):

@@ -317,11 +317,13 @@ class TestMigrationProperties:
         import tempfile
         from pathlib import Path
 
-        from repro.ir.persist import (compact_snapshot, load_snapshot,
-                                      read_snapshot_header, save_snapshot_v1,
-                                      save_snapshot_v2)
+        from repro.ir.migrate import migrate_snapshot
+        from repro.ir.persist import (load_snapshot, open_scoring_snapshot,
+                                      read_snapshot_header)
         from repro.ir.topk import topk_scores
         from repro.ir.wand import retrieve
+
+        from legacy_formats import save_snapshot_v1, save_snapshot_v2
 
         index = InvertedIndex(Analyzer(stem=False))
         for i, body in enumerate(bodies):
@@ -335,12 +337,15 @@ class TestMigrationProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "legacy.snap"
             save(snapshot, path)
-            compact_snapshot(path)  # what ``repro migrate`` runs
+            migrate_snapshot(path)  # what ``repro migrate`` runs
             header = read_snapshot_header(path)
             assert header["format_version"] == 3
             migrated = load_snapshot(path)
             got = retrieve(migrated, scorer, terms, limit, strategy=strategy)
+            scored = retrieve(open_scoring_snapshot(path), scorer, terms,
+                              limit, strategy=strategy)
         assert got == expected  # same docs, bit-identical floats
+        assert scored == expected
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -358,10 +363,12 @@ class TestMigrationProperties:
         import tempfile
         from pathlib import Path
 
-        from repro.ir.persist import (compact_snapshot, load_snapshot,
-                                      save_snapshot_v1, save_snapshot_v2)
+        from repro.ir.migrate import migrate_snapshot
+        from repro.ir.persist import load_snapshot
         from repro.ir.shard import ShardedTopK
         from repro.ir.topk import topk_scores
+
+        from legacy_formats import save_snapshot_v1, save_snapshot_v2
 
         index = InvertedIndex(Analyzer(stem=False))
         for i, body in enumerate(bodies):
@@ -375,7 +382,7 @@ class TestMigrationProperties:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "legacy.snap"
             save(snapshot, path)
-            compact_snapshot(path)
+            migrate_snapshot(path)
             migrated = load_snapshot(path)
             with ShardedTopK(migrated, shards, "serial") as sharded:
                 got = sharded.topk_many(scorer, term_lists, limit)

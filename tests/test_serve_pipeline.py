@@ -190,18 +190,19 @@ class TestDefinitionBloom:
 
     def test_delta_advanced_snapshot_discards_stale_persisted_bloom(
             self, imdb_db, tmp_path):
-        # A persisted filter describes the base vocabulary only; once a
-        # journal appends delta documents, restoring it would let the
-        # plan stage prune retrieval for delta-only terms (real missing
-        # answers).  The load must discard it and rebuild from the
-        # delta-applied snapshot.
+        # A persisted filter describes the base vocabulary only.  A
+        # definition file an older build left with a per-file delta tail
+        # must never be served with its stale header filter (the plan
+        # stage would prune retrieval for delta-only terms): lazy and
+        # eager loads both refuse it by name, and after `repro migrate`
+        # both serve a filter rebuilt from the folded vocabulary.
+        import json
+
+        from repro.errors import SnapshotError
         from repro.ir.index import InvertedIndex
-        from repro.ir.persist import (
-            SnapshotJournal,
-            load_snapshot,
-            read_snapshot_header,
-        )
-        from repro.ir.shard import TermBloomFilter
+        from repro.ir.migrate import migrate_snapshot
+
+        from legacy_formats import append_delta_segment
 
         live = QunitCollection(imdb_db, imdb_expert_qunits(),
                                max_instances_per_definition=20)
@@ -209,26 +210,23 @@ class TestDefinitionBloom:
         out = tmp_path / "gen"
         store.save(live)
         name = sorted(live.definitions)[0]
-        import json
-
         manifest = json.loads((out / "collection.json").read_text())
         snap_path = out / manifest["snapshots"]["definitions"][name]
-        index = InvertedIndex.from_snapshot(load_snapshot(snap_path))
-        SnapshotJournal(index, snap_path, compact_threshold=99)
+        index = InvertedIndex(live.analyzer)
+        index.add_all(live.definition_index(name).documents())
         index.add(Document.create("delta::doc", {"body": "zweihander"}))
+        append_delta_segment(snap_path, index, ["delta::doc"], seq=1)
 
-        loaded = store.load(imdb_db, LoadOptions(lazy=False))
-        bloom = loaded.definition_bloom(name)
-        assert bloom is not None
-        assert "zweihander" in bloom  # stale filter would miss it
+        for lazy in (True, False):
+            with pytest.raises(SnapshotError, match="repro migrate"):
+                store.load(imdb_db, LoadOptions(lazy=lazy))
 
-        # Compaction must refresh the persisted filter the same way.
-        from repro.ir.persist import compact_snapshot
-
-        assert compact_snapshot(snap_path) >= 1
-        compacted = TermBloomFilter.from_dict(
-            read_snapshot_header(snap_path)["bloom"])
-        assert "zweihander" in compacted
+        assert migrate_snapshot(snap_path) == (3, 1)
+        for lazy in (True, False):
+            loaded = store.load(imdb_db, LoadOptions(lazy=lazy))
+            bloom = loaded.definition_bloom(name)
+            assert bloom is not None
+            assert "zweihander" in bloom  # a stale filter would miss it
 
     def test_bloom_pruned_engine_answers_identical(self, imdb_db, tmp_path):
         # The loaded engine plans with persisted per-definition Blooms
